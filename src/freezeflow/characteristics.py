@@ -122,6 +122,8 @@ def _trace(
     kind: CurveKind,
     forward: bool,
 ) -> Curve:
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     spec = field_.spec
     lam = spec.lipschitz
     eps = field_.zone_epsilon()  # 10x the scaled solver tolerance

@@ -4,7 +4,7 @@ Subcommands: solve, boundary, trace, check, oracle, pinned-balls, examples.
 Problems come from a JSON file (--problem) or a named builtin (--fixture).
 Output is CSV ('.' decimals, '\\n' line endings, header row) or JSON
 (pretty-printed, sorted keys), byte-stable for a fixed configuration and
-seed.  FT_THREADS caps evaluation parallelism.
+seed.
 
 Exit codes: 0 success, 1 failed checks, 2 invalid problem or configuration,
 3 domain violation, 4 runtime failure (e.g. a characteristic step failure).
@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -58,7 +59,7 @@ def _load_problem(args) -> ProblemSpec:
     if args.problem:
         try:
             return load_spec(args.problem)
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, ValueError, TypeError, AttributeError, json.JSONDecodeError) as exc:
             raise CliError(f"invalid problem file: {exc}", EXIT_BAD_CONFIG)
     raise CliError("one of --fixture or --problem is required", EXIT_BAD_CONFIG)
 
@@ -196,6 +197,8 @@ def cmd_trace(args) -> int:
     }[(args.kind, args.direction)]
     kwargs = {}
     if args.dt is not None:
+        if not (math.isfinite(args.dt) and args.dt > 0):
+            raise CliError(f"--dt must be finite and positive, got {args.dt!r}", EXIT_BAD_CONFIG)
         kwargs["dt"] = args.dt
     if args.direction == "forward" and args.t_end is not None:
         kwargs["t_end"] = args.t_end
@@ -263,6 +266,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_pinned(args) -> int:
+    if args.n < 2:
+        raise CliError("--n must be at least 2", EXIT_BAD_CONFIG)
+    if args.stride < 1:
+        raise CliError("--stride must be at least 1", EXIT_BAD_CONFIG)
     rng = np.random.default_rng(args.seed)
     state = balls.BallState(tuple(rng.standard_normal(args.n)), rng_seed=args.seed)
     final, snaps = balls.run(state, args.steps, np.random.default_rng(args.seed + 1), args.stride)

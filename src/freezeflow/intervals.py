@@ -17,18 +17,23 @@ INF = math.inf
 Interval = Tuple[float, float]
 
 
-def _merge(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
-    """Sort, drop empty intervals, and merge overlapping or touching ones."""
-    items = [(lo, hi) for lo, hi in intervals if hi >= lo]
-    items.sort()
+def merge_sorted(pairs: Iterable[Interval]) -> list[Interval]:
+    """Merge overlapping or touching intervals of a list sorted by ``lo``."""
     merged: list[Interval] = []
-    for lo, hi in items:
+    for lo, hi in pairs:
         if merged and lo <= merged[-1][1]:
             if hi > merged[-1][1]:
                 merged[-1] = (merged[-1][0], hi)
         else:
             merged.append((lo, hi))
-    return tuple(merged)
+    return merged
+
+
+def _merge(intervals: Iterable[Interval]) -> Tuple[Interval, ...]:
+    """Sort, drop empty intervals, and merge overlapping or touching ones."""
+    items = [(lo, hi) for lo, hi in intervals if hi >= lo]
+    items.sort()
+    return tuple(merge_sorted(items))
 
 
 class IntervalUnion:

@@ -33,13 +33,12 @@ of the annihilation dynamics; it keeps never-matched points moving forever.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, merge_sorted
 from .problem import ProblemSpec, PiecewiseLinear, validate
 
 INF = math.inf
@@ -53,17 +52,6 @@ _CACHE_CAP = 400_000
 # ---------------------------------------------------------------------------
 
 
-def _merge_sorted(pairs: list) -> list:
-    out: list = []
-    for lo, hi in pairs:
-        if out and lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
 def extended_level_sets(spec: ProblemSpec, b: float) -> Tuple[list, list]:
     """Time-0 sublevel set of v0 and superlevel set of w0, with boundary tails.
 
@@ -75,7 +63,7 @@ def extended_level_sets(spec: ProblemSpec, b: float) -> Tuple[list, list]:
         a1, a2 = spec.domain.a1, spec.domain.a2
         blue = [(-INF, a1)] + spec.v0.sublevel_intervals(b, domain=(a1, a2))
         red = spec.w0.superlevel_intervals(b, domain=(a1, a2)) + [(a2, INF)]
-        return _merge_sorted(blue), _merge_sorted(red)
+        return merge_sorted(blue), merge_sorted(red)
     # level-interval lists come back sorted and merged already
     return spec.v0.sublevel_intervals(b), spec.w0.superlevel_intervals(b)
 
@@ -550,8 +538,7 @@ class SolutionField:
 
         Uses one shared bisection bracket across the grid so the slice cache
         is reused; output is identical to pointwise calls up to tolerance and
-        independent of evaluation order.  FT_THREADS > 1 parallelizes over
-        rows with a deterministic assembly.
+        independent of evaluation order.
         """
         xs = [float(x) for x in xs]
         ts = [float(t) for t in ts]
@@ -570,23 +557,11 @@ class SolutionField:
         bracket = (min(v_lo, w_lo), max(v_hi, w_hi))
         V = np.empty((len(ts), len(xs)))
         W = np.empty((len(ts), len(xs)))
-
-        def fill_row(i: int):
-            t = ts[i]
-            ev, ew = self.eval_v, self.eval_w
+        ev, ew = self.eval_v, self.eval_w
+        for i, t in enumerate(ts):
             for j, x in enumerate(xs):
                 V[i, j] = ev(x, t, bracket)
                 W[i, j] = ew(x, t, bracket)
-
-        n_threads = int(os.environ.get("FT_THREADS", "1") or "1")
-        if n_threads > 1 and len(ts) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                list(pool.map(fill_row, range(len(ts))))
-        else:
-            for i in range(len(ts)):
-                fill_row(i)
         return V, W
 
     # -- misc ---------------------------------------------------------------

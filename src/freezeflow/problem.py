@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-INF = math.inf
+from .intervals import merge_sorted
 
-# numpy pays off for level-set extraction only on big breakpoint arrays
-_NUMPY_CUTOVER = 128
+INF = math.inf
 
 
 class DomainKind(Enum):
@@ -74,7 +73,7 @@ class PiecewiseLinear:
     Instances are immutable; all operations return new objects.
     """
 
-    __slots__ = ("xs", "ys", "left_slope", "right_slope", "_xs_arr", "_ys_arr")
+    __slots__ = ("xs", "ys", "left_slope", "right_slope", "_xs_arr", "_ys_arr", "_runs", "_neg_ys")
 
     def __init__(
         self,
@@ -98,6 +97,8 @@ class PiecewiseLinear:
         self.right_slope = None if right_slope is None else float(right_slope)
         self._xs_arr: Optional[np.ndarray] = None
         self._ys_arr: Optional[np.ndarray] = None
+        self._runs: Optional[Tuple[Tuple[int, int, bool], ...]] = None
+        self._neg_ys: Tuple[float, ...] = ()
 
     # -- construction helpers ------------------------------------------
 
@@ -351,123 +352,112 @@ class PiecewiseLinear:
         """Closed intervals of {x : f(x) >= b}, exact per linear segment."""
         return self._level_intervals(b, below=False, domain=domain)
 
+    def _monotone_runs(self) -> Tuple[Tuple[int, int, bool], ...]:
+        """Maximal monotone runs of ``ys`` as (first index, last index, rising).
+
+        A flat segment joins the run it sits in; a run ends only where the
+        slope sign strictly reverses, so neighbouring runs share a breakpoint.
+        """
+        if self._runs is None:
+            ys = self.ys
+            runs = []
+            start, rising = 0, None
+            for i in range(len(ys) - 1):
+                if ys[i + 1] == ys[i]:
+                    continue
+                up = ys[i + 1] > ys[i]
+                if rising is None:
+                    rising = up
+                elif up != rising:
+                    runs.append((start, i, rising))
+                    start, rising = i, up
+            runs.append((start, len(ys) - 1, rising is not False))  # all flat: call it rising
+            self._runs = tuple(runs)
+            self._neg_ys = tuple(-y for y in ys)
+        return self._runs
+
     def _level_intervals(self, b, below, domain):
-        if self.n >= _NUMPY_CUTOVER:
-            raw = self._level_intervals_np(b, below)
-        else:
-            raw = self._level_intervals_py(b, below)
+        """Sorted, merged closed intervals of {f <= b} (below) or {f >= b}.
+
+        Each monotone run of the breakpoint values holds at most one interval:
+        its two end values decide between all, nothing, or one bisection for
+        the crossing segment, so a call costs O(m log n) for m runs.
+        """
+        runs = self._runs or self._monotone_runs()
+        xs, ys, neg = self.xs, self.ys, self._neg_ys
+        raw: list[Tuple[float, float]] = []
+        sgn = 1.0 if below else -1.0
+        # left tail: g = sgn (f - b) <= 0 is wanted, with slope s = sgn f'
+        if self.left_slope is not None:
+            g0 = sgn * (ys[0] - b)
+            s = sgn * self.left_slope
+            if g0 <= 0:
+                raw.append((-INF, xs[0]) if s >= 0 else (xs[0] - g0 / s, xs[0]))
+            elif s > 0:
+                raw.append((-INF, xs[0] - g0 / s))
+        # on a rising run {f <= b} is a prefix and {f >= b} a suffix, on a
+        # falling run the reverse; bisecting ys (rising) or -ys (falling)
+        # finds the breakpoint just past the crossing
+        for i0, i1, rising in runs:
+            y0, y1 = ys[i0], ys[i1]
+            if below:
+                if rising:
+                    if y0 > b:
+                        continue
+                    if y1 <= b:
+                        raw.append((xs[i0], xs[i1]))
+                    else:
+                        j = bisect_right(ys, b, i0, i1)
+                        raw.append((xs[i0], _crossing(xs, ys, j - 1, b)))
+                else:
+                    if y1 > b:
+                        continue
+                    if y0 <= b:
+                        raw.append((xs[i0], xs[i1]))
+                    else:
+                        j = bisect_left(neg, -b, i0, i1)
+                        raw.append((_crossing(xs, ys, j - 1, b), xs[i1]))
+            elif rising:
+                if y1 < b:
+                    continue
+                if y0 >= b:
+                    raw.append((xs[i0], xs[i1]))
+                else:
+                    j = bisect_left(ys, b, i0, i1)
+                    raw.append((_crossing(xs, ys, j - 1, b), xs[i1]))
+            else:
+                if y0 < b:
+                    continue
+                if y1 >= b:
+                    raw.append((xs[i0], xs[i1]))
+                else:
+                    j = bisect_right(neg, -b, i0, i1)
+                    raw.append((xs[i0], _crossing(xs, ys, j - 1, b)))
+        if self.right_slope is not None:
+            g1 = sgn * (ys[-1] - b)
+            s = sgn * self.right_slope
+            if g1 <= 0:
+                raw.append((xs[-1], INF) if s <= 0 else (xs[-1], xs[-1] - g1 / s))
+            elif s < 0:
+                raw.append((xs[-1] - g1 / s, INF))
         if domain is not None:
             lo_d, hi_d = domain
             raw = [(max(lo, lo_d), min(hi, hi_d)) for lo, hi in raw if max(lo, lo_d) <= min(hi, hi_d)]
-        # merge touching
-        out: list[Tuple[float, float]] = []
-        for lo, hi in raw:
-            if out and lo <= out[-1][1]:
-                if hi > out[-1][1]:
-                    out[-1] = (out[-1][0], hi)
-            else:
-                out.append((lo, hi))
-        return out
+        return merge_sorted(raw)
 
-    def _level_intervals_py(self, b, below):
-        xs, ys = self.xs, self.ys
-        sgn = 1.0 if below else -1.0
-        g = [sgn * (y - b) for y in ys]  # want g <= 0
-        raw: list[Tuple[float, float]] = []
-        # left tail
-        if self.left_slope is not None:
-            s = sgn * self.left_slope
-            if g[0] <= 0:
-                if s >= 0:
-                    raw.append((-INF, xs[0]))
-                else:
-                    # g(x) = g0 + s (x - x0) vanishes at x0 - g0/s <= x0
-                    raw.append((xs[0] - g[0] / s, xs[0]))
-            elif s > 0:
-                raw.append((-INF, xs[0] - g[0] / s))
-        elif g[0] <= 0:
-            raw.append((xs[0], xs[0]))
-        for i in range(len(xs) - 1):
-            g0, g1 = g[i], g[i + 1]
-            x0, x1 = xs[i], xs[i + 1]
-            if g0 <= 0 and g1 <= 0:
-                raw.append((x0, x1))
-            elif g0 <= 0 < g1:
-                raw.append((x0, x0 + (0 - g0) * (x1 - x0) / (g1 - g0)))
-            elif g1 <= 0 < g0:
-                raw.append((x0 + (0 - g0) * (x1 - x0) / (g1 - g0), x1))
-        # right tail
-        if self.right_slope is not None:
-            s = sgn * self.right_slope
-            if g[-1] <= 0:
-                if s <= 0:
-                    raw.append((xs[-1], INF))
-                else:
-                    raw.append((xs[-1], xs[-1] - g[-1] / s))
-            elif s < 0:
-                raw.append((xs[-1] - g[-1] / s, INF))
-        elif g[-1] <= 0:
-            raw.append((xs[-1], xs[-1]))
-        return raw
 
-    def _level_intervals_np(self, b, below):
-        xs, ys = self._arrays()
-        sgn = 1.0 if below else -1.0
-        g = sgn * (ys - b)
-        ok = g <= 0
-        raw: list[Tuple[float, float]] = []
-        # interior runs and crossings, vectorized over segments
-        g0, g1 = g[:-1], g[1:]
-        x0, x1 = xs[:-1], xs[1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = x0 + (0 - g0) * (x1 - x0) / (g1 - g0)
-        starts: list[float] = []
-        ends: list[float] = []
-        inside = False
-        cur_start = 0.0
-        enter = np.where(~ok[:-1] & ok[1:])[0]
-        leave = np.where(ok[:-1] & ~ok[1:])[0]
-        # build runs from event indices
-        events = sorted([(i, "enter") for i in enter] + [(i, "leave") for i in leave])
-        if ok[0]:
-            inside = True
-            cur_start = xs[0]
-        for i, kind in events:
-            if kind == "enter" and not inside:
-                inside = True
-                cur_start = cross[i]
-            elif kind == "leave" and inside:
-                inside = False
-                starts.append(cur_start)
-                ends.append(cross[i])
-        if inside:
-            starts.append(cur_start)
-            ends.append(xs[-1])
-        raw = list(zip(starts, ends))
-        # tails reuse the scalar logic
-        head = self._level_intervals_py_tail(b, below, left=True)
-        tail = self._level_intervals_py_tail(b, below, left=False)
-        return head + raw + tail
+def _crossing(xs, ys, i, b) -> float:
+    """Where segment i (from breakpoint i to i + 1) takes the value b.
 
-    def _level_intervals_py_tail(self, b, below, left):
-        sgn = 1.0 if below else -1.0
-        if left:
-            g0 = sgn * (self.ys[0] - b)
-            x0 = self.xs[0]
-            if self.left_slope is None:
-                return []
-            s = sgn * self.left_slope
-            if g0 <= 0:
-                return [(-INF, x0)] if s >= 0 else [(x0 - g0 / s, x0)]
-            return [(-INF, x0 - g0 / s)] if s > 0 else []
-        g1 = sgn * (self.ys[-1] - b)
-        x1 = self.xs[-1]
-        if self.right_slope is None:
-            return []
-        s = sgn * self.right_slope
-        if g1 <= 0:
-            return [(x1, INF)] if s <= 0 else [(x1, x1 - g1 / s)]
-        return [(x1 - g1 / s, INF)] if s < 0 else []
+    The segment must straddle b.  An end value equal to b gives its
+    breakpoint exactly, and the result never leaves [xs[i], xs[i + 1]]:
+    x0 + t (x1 - x0) with t rounded to 1 can land an ulp past x1.
+    """
+    x0, x1 = xs[i], xs[i + 1]
+    d0, d1 = ys[i] - b, ys[i + 1] - b
+    if d1 == 0.0:
+        return x1
+    return min(x0 - d0 * (x1 - x0) / (d1 - d0), x1)
 
 
 # ---------------------------------------------------------------------------

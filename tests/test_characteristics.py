@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from freezeflow import (
@@ -136,3 +138,11 @@ class TestRunsBound:
             for x, t in pts:
                 c = trace_backward_v(field, x, t)
                 assert c.constant_slope_runs() <= 3
+
+
+@pytest.mark.parametrize("dt", [-0.1, math.inf])
+@pytest.mark.parametrize("tracer", [trace_backward_v, trace_backward_w, trace_forward_v, trace_forward_w])
+def test_tracers_require_finite_positive_step(wedge_field, tracer, dt):
+    # dt = 0 used to loop forever; tests/test_cli.py runs it in a subprocess
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        tracer(wedge_field, 1.0, 1.0, dt=dt)

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import freezeflow
 from freezeflow.cli import main
 
 
@@ -104,3 +111,37 @@ def test_domain_violation_exit_3(tmp_path):
         ["solve", "--fixture", "seg-tent", "--grid", "5,5", "--window=-3,3,0,1", "--out", str(tmp_path / "x.csv")]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("dt", ["0", "-0.1", "nan"])
+def test_trace_bad_step_exit_2(dt):
+    # a zero step used to loop forever, so a timeout guards the suite
+    env = dict(os.environ, PYTHONPATH=str(Path(freezeflow.__file__).parents[1]))
+    argv = ["trace", "--fixture", "wedge", "--kind", "v", "--direction", "backward", "--x", "1", "--t", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "freezeflow.cli", *argv, f"--dt={dt}"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "--dt" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"domain": {"kind": "whole_line"}, "v0": {"breakpoints": 5, "values": [0.0]}, "w0": {"breakpoints": 5, "values": [0.0]}},
+        [1, 2, 3],
+    ],
+    ids=["int-breakpoints", "top-level-list"],
+)
+def test_malformed_problem_exit_2(tmp_path, capsys, obj):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(["solve", "--problem", str(path), "--grid", "3,3", "--window", "0,1,0,1"]) == 2
+    assert "invalid problem file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, argv", [("--n", ["--n", "1"]), ("--stride", ["--n", "4", "--stride", "0"])])
+def test_pinned_balls_bad_size_exit_2(capsys, flag, argv):
+    assert run_cli(["pinned-balls", "--steps", "10", *argv]) == 2
+    assert flag in capsys.readouterr().err

@@ -45,24 +45,60 @@ class TestPiecewiseLinear:
         assert g.flat_segments() == [(0.0, 1.0)]
 
     def test_level_sets_match_bruteforce(self, rng):
-        # brute-force oracle: dense sampling of the indicator
-        for _ in range(25):
-            k = rng.integers(2, 9)
-            xs = np.sort(rng.uniform(-5, 5, size=k))
-            if np.min(np.diff(xs)) < 1e-2:
-                continue
-            ys = rng.uniform(-3, 3, size=k)
+        # brute-force oracle: dense sampling of the indicator.  Inputs mix
+        # 2-8 and 128-200 breakpoints, quantised walks (flat segments, b equal
+        # to a breakpoint value) and domain clips, on both sides
+        grid = np.linspace(-9, 9, 4001)
+        for case in range(60):
+            k = int(rng.integers(2, 9)) if case % 3 else int(rng.integers(128, 201))
+            xs = np.sort(rng.choice(np.linspace(-5, 5, 1001), size=k, replace=False))
+            if case % 2:  # a walk in steps of 0, +-0.5: flats inside monotone runs
+                ys = np.cumsum(rng.choice([-0.5, 0.0, 0.5], size=k))
+            else:
+                ys = rng.uniform(-3, 3, size=k)
             f = PL(xs, ys, rng.uniform(-2, 2), rng.uniform(-2, 2))
-            b = rng.uniform(-3, 3)
-            grid = np.linspace(-9, 9, 4001)
+            b = float(rng.choice(ys)) if case % 4 < 2 else rng.uniform(-3, 3)
+            domain = None if case % 5 < 2 else tuple(np.sort(rng.uniform(-7, 7, size=2)))
+            lo_d, hi_d = domain if domain is not None else (-math.inf, math.inf)
+            inside = (grid >= lo_d) & (grid <= hi_d)
             vals = f(grid)
-            sub = f.sublevel_intervals(b)
-            ind = np.zeros_like(grid, dtype=bool)
-            for lo, hi in sub:
-                ind |= (grid >= lo) & (grid <= hi)
-            assert np.all(vals[ind] <= b + 1e-9), "sublevel contains points above b"
-            outside_below = (vals <= b - 1e-9) & (~ind)
-            assert not outside_below.any(), "missed sublevel points"
+            for below in (True, False):
+                got = f.sublevel_intervals(b, domain) if below else f.superlevel_intervals(b, domain)
+                assert all(lo <= hi for lo, hi in got), got
+                assert all(a[1] < c[0] for a, c in zip(got, got[1:])), "not sorted and disjoint"
+                g = vals - b if below else b - vals  # g <= 0 on the level set
+                ind = np.zeros_like(grid, dtype=bool)
+                for lo, hi in got:
+                    ind |= (grid >= lo) & (grid <= hi)
+                assert not (ind & ~inside).any(), "level set leaves the domain"
+                assert np.all(g[ind] <= 1e-9), "level set contains points on the wrong side of b"
+                assert not ((g <= -1e-9) & inside & ~ind).any(), "missed level-set points"
+                # exact at breakpoints: each one in the domain lies in the set
+                # iff its value does, and so does each segment between two
+                # such breakpoints (a flat at b included)
+                on = ys <= b if below else ys >= b
+                for i, x in enumerate(xs):
+                    if lo_d <= x <= hi_d:
+                        assert on[i] == any(lo <= x <= hi for lo, hi in got), (i, x)
+                    if i + 1 < k and on[i] and on[i + 1]:
+                        s0, s1 = max(x, lo_d), min(xs[i + 1], hi_d)
+                        if s0 <= s1:
+                            assert any(lo <= s0 and s1 <= hi for lo, hi in got), (i, s0, s1)
+
+    def test_level_set_touching_a_peak_is_a_point(self):
+        # the crossing next to a peak at height b is x0 + (x1 - x0), which
+        # rounds an ulp past the peak (lo > hi, or no point after a clip)
+        # or an ulp short of it
+        f = PL([-0.5, 1.7, 3.7], [0.0, 1.0, 0.0], 1.0, -1.0)
+        assert f.superlevel_intervals(1.0) == [(1.7, 1.7)]
+        assert f.superlevel_intervals(1.0, domain=(-1, 5)) == [(1.7, 1.7)]
+        g = PL([-0.5] + [1.7 + 0.01 * k for k in range(200)], [0.0] + [1.0 - 0.005 * k for k in range(200)], 1.0, -0.5)
+        assert g.superlevel_intervals(1.0) == [(1.7, 1.7)]
+        assert g.superlevel_intervals(1.0, domain=(-1, 5)) == [(1.7, 1.7)]
+        h = PL([-1.1, 1.7, 3.7], [0.0, 1.0, 0.0], 1.0, -1.0)
+        assert h.superlevel_intervals(1.0) == [(1.7, 1.7)]
+        # b a hair above the low end: the crossing ratio rounds to 1
+        assert PL([-0.5, 1.7], [1.0, 0.0]).sublevel_intervals(2.0**-60) == [(1.7, 1.7)]
 
     def test_min_max_total_variation(self):
         f = PL([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], -1.0, 1.0)
