@@ -29,7 +29,6 @@ from .levelset import (
     SolutionField,
     alpha_v,
     alpha_w,
-    localize,
     sublevel_set,
     superlevel_set,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "grid_scheme",
     "initial_from_terminal",
     "load_spec",
-    "localize",
     "occupation_difference",
     "oracle_level_sets",
     "perturb_spec",

@@ -97,7 +97,6 @@ def classify(
     x: float,
     t: float,
     zone_epsilon: Optional[float] = None,
-    probe_dt: Optional[float] = None,
 ) -> ZoneLabel:
     """Zone label at (x, t): liquid when v - w exceeds the gap threshold,
     frozen when the gap stays closed just above t, boundary otherwise."""
@@ -105,7 +104,7 @@ def classify(
     gap = field_.eval_v(x, t) - field_.eval_w(x, t)
     if gap > eps:
         return ZoneLabel.LIQUID
-    probe = probe_dt if probe_dt is not None else max(4.0 * eps / max(field_.spec.lipschitz, 1.0), 1e-6)
+    probe = max(4.0 * eps / max(field_.spec.lipschitz, 1.0), 1e-6)
     gap_up = field_.eval_v(x, t + probe) - field_.eval_w(x, t + probe)
     lam = field_.spec.lipschitz
     if gap_up <= eps + 0.1 * lam * probe:

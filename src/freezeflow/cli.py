@@ -47,7 +47,7 @@ def _make_field(spec: ProblemSpec, tol: float) -> SolutionField:
     try:
         return SolutionField(spec, tolerance=tol)
     except ValueError as exc:
-        raise CliError(f"inadmissible problem: {exc}", EXIT_BAD_CONFIG)
+        raise CliError(str(exc), EXIT_BAD_CONFIG)
 
 
 def _load_problem(args) -> ProblemSpec:
@@ -69,9 +69,12 @@ def _parse_pair(text: str, n: int, name: str) -> List[float]:
     if len(parts) != n:
         raise CliError(f"--{name} needs {n} comma-separated values", EXIT_BAD_CONFIG)
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise CliError(f"--{name}: not numeric: {text!r}", EXIT_BAD_CONFIG)
+    if not all(math.isfinite(v) for v in values):
+        raise CliError(f"--{name}: values must be finite: {text!r}", EXIT_BAD_CONFIG)
+    return values
 
 
 def _write(out: Optional[str], payload: str):
@@ -104,9 +107,16 @@ def _json_text(obj) -> str:
 # -- solve -----------------------------------------------------------------
 
 
+def _parse_grid(text: str, least: int):
+    nx, nt = _parse_pair(text, 2, "grid")
+    if min(nx, nt) < least:
+        raise CliError(f"--grid needs at least {least} points per axis, got {text!r}", EXIT_BAD_CONFIG)
+    return int(nx), int(nt)
+
+
 def cmd_solve(args) -> int:
     spec = _load_problem(args)
-    nx, nt = (int(v) for v in _parse_pair(args.grid, 2, "grid"))
+    nx, nt = _parse_grid(args.grid, 1)
     if args.window:
         x0, x1, t0, t1 = _parse_pair(args.window, 4, "window")
     else:
@@ -150,7 +160,7 @@ def cmd_solve(args) -> int:
 
 def cmd_boundary(args) -> int:
     spec = _load_problem(args)
-    nx, nt = (int(v) for v in _parse_pair(args.grid, 2, "grid"))
+    nx, nt = _parse_grid(args.grid, 2)
     if not args.window:
         raise CliError("--window x0,x1,t0,t1 is required for boundary", EXIT_BAD_CONFIG)
     x0, x1, t0, t1 = _parse_pair(args.window, 4, "window")
@@ -167,7 +177,10 @@ def cmd_boundary(args) -> int:
         "corners": [],
     }
     for i, c in enumerate(bset.corners):
-        sl = geom.corner_slopes(bset, i)
+        try:
+            sl = geom.corner_slopes(bset, i)
+        except ValueError:  # an incident curve too short to measure a slope
+            sl = geom.CornerSlopes(None, None)
         obj["corners"].append(
             {
                 "x": c.x,
@@ -187,6 +200,13 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    t_end = 0.0 if args.t_end is None else args.t_end
+    if not all(math.isfinite(v) for v in (args.x, args.t, t_end)):
+        raise CliError("--x, --t and --t-end must be finite", EXIT_BAD_CONFIG)
+    backward = args.direction == "backward"
+    if not (args.t > 0 if backward else args.t >= 0):
+        need = "positive" if backward else "nonnegative"
+        raise CliError(f"--t must be {need} for {args.direction} tracing, got {args.t!r}", EXIT_BAD_CONFIG)
     spec = _load_problem(args)
     field = _make_field(spec, args.tol)
     tracer = {
@@ -231,8 +251,8 @@ def cmd_check(args) -> int:
             times = [float(p) for p in args.times.split(",")]
         except ValueError:
             raise CliError(f"--times: not numeric: {args.times!r}", EXIT_BAD_CONFIG)
-        if any(t < 0 for t in times):
-            raise CliError("--times must be nonnegative", EXIT_BAD_CONFIG)
+        if not all(0 <= t < math.inf for t in times):
+            raise CliError("--times must be finite and nonnegative", EXIT_BAD_CONFIG)
     reports = diag.run_default_checks(field, seed=args.seed, times=times)
     _write(args.out, _json_text([r.to_json() for r in reports]))
     return 0 if all(r.passed for r in reports) else EXIT_CHECK_FAILED
@@ -242,6 +262,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.levels < 1:
+        raise CliError(f"--levels must be at least 1, got {args.levels}", EXIT_BAD_CONFIG)
     spec = _load_problem(args)
     rng = np.random.default_rng(args.seed)
     lo, hi = spec.breakpoint_span()
@@ -270,6 +292,8 @@ def cmd_pinned(args) -> int:
         raise CliError("--n must be at least 2", EXIT_BAD_CONFIG)
     if args.stride < 1:
         raise CliError("--stride must be at least 1", EXIT_BAD_CONFIG)
+    if args.steps < 0:
+        raise CliError("--steps must be nonnegative", EXIT_BAD_CONFIG)
     rng = np.random.default_rng(args.seed)
     state = balls.BallState(tuple(rng.standard_normal(args.n)), rng_seed=args.seed)
     final, snaps = balls.run(state, args.steps, np.random.default_rng(args.seed + 1), args.stride)
@@ -325,28 +349,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="freezeflow", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, tol_default=1e-10):
+    def common(sp):
         sp.add_argument("--fixture", help="builtin problem name")
         sp.add_argument("--problem", help="problem JSON file")
-        sp.add_argument("--tol", type=float, default=tol_default)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("solve", help="evaluate v, w on a grid")
     common(sp)
+    sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--grid", default="101,51", help="NX,NT")
     sp.add_argument("--window", help="x0,x1,t0,t1")
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("boundary", help="extract freezing/thawing boundaries")
-    common(sp, tol_default=1e-8)
+    common(sp)
+    sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--grid", default="120,120", help="NX,NT")
     sp.add_argument("--window", help="x0,x1,t0,t1")
-    sp.set_defaults(func=cmd_boundary, format="json")
+    sp.set_defaults(func=cmd_boundary)
 
     sp = sub.add_parser("trace", help="trace a characteristic")
     common(sp)
+    sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--kind", choices=("v", "w"), required=True)
     sp.add_argument("--direction", choices=("backward", "forward"), required=True)
     sp.add_argument("--x", type=float, required=True)
@@ -357,13 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="run the diagnostic battery")
     common(sp)
+    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--times", help="comma-separated evaluation times")
-    sp.set_defaults(func=cmd_check, format="json")
+    sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("oracle", help="compare level sets against the annihilation oracle")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--levels", type=int, default=20)
-    sp.set_defaults(func=cmd_oracle, format="json")
+    sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("pinned-balls", help="simulate the discrete sorting dynamics")
     sp.add_argument("--n", type=int, default=50)

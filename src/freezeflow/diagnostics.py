@@ -180,15 +180,14 @@ def check_total_variation(
     times: Sequence[float],
     window: Tuple[float, float],
     samples: int = 512,
-    assertive: Optional[bool] = None,
 ) -> CheckReport:
     """Sampled total variation of v and w over the window: non-increasing in
     t up to the sampling slack 2 * lambda * spacing.
 
     Monotonicity of the total variation holds on the whole line for data of
     finite global variation; with sloped tails, or on a segment window,
-    variation can slide in across the window edges, so by default the check
-    then only reports the measured drift (passed unconditionally) instead of
+    variation can slide in across the window edges, so the check then only
+    reports the measured drift (passed unconditionally) instead of
     asserting the bound.
     """
     lo, hi = window
@@ -196,15 +195,13 @@ def check_total_variation(
     if spec.domain.is_segment:
         lo = max(lo, spec.domain.a1)
         hi = min(hi, spec.domain.a2)
-    if assertive is None:
-        flat_tails = (
-            not spec.domain.is_segment
-            and spec.v0.left_slope == 0.0
-            and spec.v0.right_slope == 0.0
-            and spec.w0.left_slope == 0.0
-            and spec.w0.right_slope == 0.0
-        )
-        assertive = flat_tails
+    flat_tails = (
+        not spec.domain.is_segment
+        and spec.v0.left_slope == 0.0
+        and spec.v0.right_slope == 0.0
+        and spec.w0.left_slope == 0.0
+        and spec.w0.right_slope == 0.0
+    )
     xs = np.linspace(lo, hi, samples)
     spacing = xs[1] - xs[0]
     lam = spec.lipschitz
@@ -218,7 +215,7 @@ def check_total_variation(
         for a, b in zip(seq, seq[1:]):
             worst = max(worst, b - a)
     slack = 2.0 * lam * spacing + 8.0 * field.tolerance * samples
-    if assertive:
+    if flat_tails:
         return CheckReport.from_measure("total_variation", worst, slack, f"times={sorted(times)}")
     return CheckReport(
         "total_variation",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -167,11 +168,12 @@ def _chain(segs):
 # ---------------------------------------------------------------------------
 
 
-def _regimes_raw(pts, slope_tol, closed):
+def _regimes_raw(pts, closed):
     """Regime per polyline segment: 'F', 'T+' or 'T-'.
 
     Slopes are smoothed over a five-segment window before classification;
-    grid noise near |dt/dx| = 1 would otherwise split curves spuriously.
+    grid noise near |dt/dx| = 1 would otherwise split curves spuriously, and
+    a smoothed |dt/dx| up to 1.12 still counts as freezing.
     """
     n = len(pts) if closed else len(pts) - 1
     nxt = (lambda i: (i + 1) % len(pts)) if closed else (lambda i: i + 1)
@@ -185,7 +187,7 @@ def _regimes_raw(pts, slope_tol, closed):
             idx = range(max(0, i - 2), min(n, i + 3))
         sdx = sum(dxs[j] for j in idx)
         sdt = sum(dts[j] for j in idx)
-        if abs(sdt) <= (1.0 + slope_tol) * abs(sdx):
+        if abs(sdt) <= 1.12 * abs(sdx):
             reg.append("F")
         else:
             reg.append("T+" if sdt * sdx > 0 else "T-")
@@ -261,8 +263,6 @@ def extract_boundaries(
     window: Tuple[float, float, float, float],
     resolution: Tuple[int, int],
     zone_epsilon: Optional[float] = None,
-    slope_tol: float = 0.12,
-    refine: bool = True,
 ) -> BoundarySet:
     """Trace the liquid/frozen interface inside window = (x0, x1, t0, t1).
 
@@ -280,6 +280,7 @@ def extract_boundaries(
     g = V - W - eps
     cell = max(xs[1] - xs[0], ts[1] - ts[0]) if nx > 1 and nt > 1 else 0.0
     out = BoundarySet(cell_size=cell)
+    dom = field_.spec.domain
     frozen_cells = int((g <= 0).sum())
     if frozen_cells == 0:
         return out
@@ -293,7 +294,7 @@ def extract_boundaries(
         closed = math.hypot(pts[0][0] - pts[-1][0], pts[0][1] - pts[-1][1]) < 1e-12
         if closed:
             pts = pts[:-1]
-        reg = _regimes_raw(pts, slope_tol, closed)
+        reg = _regimes_raw(pts, closed)
         if closed:
             # rotate so index 0 sits on a regime boundary; then treat linearly
             pivots = [k for k in range(len(reg)) if reg[k] != reg[k - 1]]
@@ -355,14 +356,13 @@ def extract_boundaries(
                 t_t = np.mean([p[1] for p in t_sub])
                 kind = CornerKind.FREEZE_THAW if f_t <= t_t else CornerKind.THAW_FREEZE
                 corner = Corner(cx, ct, kind, freezing=freezing_ref, thawing=thawing_ref)
-                if refine:
-                    _refine_corner(field_, eps, corner, f_sub, t_sub, cell)
-                out.corners.append(corner)
+                _refine_corner(field_, eps, corner, f_sub, t_sub, cell)
             else:
                 corner = Corner(cx, ct, CornerKind.TIP, thawing=(ia, end_a), thawing2=(ib, end_b))
-                if refine:
-                    _refine_tip(field_, eps, corner, sub_a, sub_b, cell)
-                out.corners.append(corner)
+                _refine_tip(field_, eps, corner, sub_a, sub_b, cell)
+            # a fit extrapolated to a segment end can overshoot it by ~1e-9
+            corner.x = min(max(corner.x, dom.a1), dom.a2)
+            out.corners.append(corner)
     return out
 
 
@@ -375,48 +375,29 @@ def _gap(field_: SolutionField, x, t):
     return field_.eval_v(x, t) - field_.eval_w(x, t)
 
 
-def _bisect_t(field_, eps, x, t_frozen, t_liquid, iters=42):
-    """Boundary time at fixed x between a frozen and a liquid probe."""
-    if _gap(field_, x, t_frozen) > eps or _gap(field_, x, t_liquid) <= eps:
+def _contour(gap, eps, frozen, liquid, lo, hi):
+    """Where the 1-D gap function crosses eps, bisected between a frozen
+    probe (gap <= eps) and a liquid one.  Both probes are first clamped to
+    [lo, hi]; None when the clamped bracket does not straddle the contour."""
+    frozen = min(max(frozen, lo), hi)
+    liquid = min(max(liquid, lo), hi)
+    if gap(frozen) > eps or gap(liquid) <= eps:
         return None
-    for _ in range(iters):
-        mid = 0.5 * (t_frozen + t_liquid)
-        if mid < 0:
-            mid = 0.0
-        if _gap(field_, x, mid) <= eps:
-            t_frozen = mid
+    for _ in range(42):
+        mid = 0.5 * (frozen + liquid)
+        if gap(mid) <= eps:
+            frozen = mid
         else:
-            t_liquid = mid
-    return 0.5 * (t_frozen + t_liquid)
+            liquid = mid
+    return 0.5 * (frozen + liquid)
 
 
-def _bisect_x(field_, eps, t, x_frozen, x_liquid, iters=42):
-    """Boundary position at fixed t between a frozen and a liquid probe."""
-    if _gap(field_, x_frozen, t) > eps or _gap(field_, x_liquid, t) <= eps:
-        return None
-    for _ in range(iters):
-        mid = 0.5 * (x_frozen + x_liquid)
-        if _gap(field_, mid, t) <= eps:
-            x_frozen = mid
-        else:
-            x_liquid = mid
-    return 0.5 * (x_frozen + x_liquid)
-
-
-def _boundary_t(field_, eps, x, t_frozen, t_liquid):
-    """eps-extrapolated boundary time: the gap contour at level eps sits
+def _boundary(gap, eps, frozen, liquid, lo, hi):
+    """eps-extrapolated boundary: the gap contour at level eps sits
     eps/|grad gap| inside the liquid zone, so extrapolate eps -> 0 from two
     contour levels."""
-    h1 = _bisect_t(field_, eps * 0.5, x, t_frozen, t_liquid)
-    h2 = _bisect_t(field_, eps, x, t_frozen, t_liquid)
-    if h1 is None or h2 is None:
-        return h1 if h1 is not None else h2
-    return 2.0 * h1 - h2
-
-
-def _boundary_x(field_, eps, t, x_frozen, x_liquid):
-    h1 = _bisect_x(field_, eps * 0.5, t, x_frozen, x_liquid)
-    h2 = _bisect_x(field_, eps, t, x_frozen, x_liquid)
+    h1 = _contour(gap, eps * 0.5, frozen, liquid, lo, hi)
+    h2 = _contour(gap, eps, frozen, liquid, lo, hi)
     if h1 is None or h2 is None:
         return h1 if h1 is not None else h2
     return 2.0 * h1 - h2
@@ -446,11 +427,15 @@ def _refine_freezing_branch(field_, eps, sub, corner_xy, cell, n=10, margin=3.0)
     cx, ct = corner_xy
     t_of_x, (x_lo, x_hi) = _curve_interp(sub, by_x=True)
     away = -1.0 if abs(x_lo - cx) > abs(x_hi - cx) else 1.0
+    dom = field_.spec.domain
     pts = []
     for k in range(n):
         x = cx + away * (margin + 0.8 * k) * cell
+        if not dom.contains(x):
+            continue
         t_est = t_of_x(min(max(x, x_lo), x_hi))
-        hit = _boundary_t(field_, eps, x, t_est + 3 * cell, max(t_est - 3 * cell, 0.0))
+        gap = partial(_gap, field_, x)
+        hit = _boundary(gap, eps, t_est + 3 * cell, t_est - 3 * cell, 0.0, math.inf)
         if hit is not None:
             pts.append((x, hit))
     return pts
@@ -466,17 +451,19 @@ def _refine_thawing_branch(field_, eps, sub, corner_xy, cell, n=10, margin=3.0):
     cx, ct = corner_xy
     x_of_t, (t_lo, t_hi) = _curve_interp(sub, by_x=False)
     away = -1.0 if abs(t_lo - ct) > abs(t_hi - ct) else 1.0
+    dom = field_.spec.domain
     pts = []
     for k in range(n):
         t = ct + away * (margin + 0.8 * k) * cell
         if t < 0:
             continue
         x_est = x_of_t(min(max(t, t_lo), t_hi))
-        left, right = x_est - 3 * cell, x_est + 3 * cell
-        if _gap(field_, left, t) <= eps:
-            hit = _boundary_x(field_, eps, t, left, right)
+        left, right = max(x_est - 3 * cell, dom.a1), min(x_est + 3 * cell, dom.a2)
+        gap = partial(_gap, field_, t=t)
+        if gap(left) <= eps:
+            hit = _boundary(gap, eps, left, right, dom.a1, dom.a2)
         else:
-            hit = _boundary_x(field_, eps, t, right, left)
+            hit = _boundary(gap, eps, right, left, dom.a1, dom.a2)
         if hit is not None:
             pts.append((hit, t))
     return pts
@@ -548,21 +535,23 @@ def _refine_tip(field_, eps, corner, sub_a, sub_b, cell):
     quadratics meet.
     """
     cx, ct = corner.x, corner.t
+    dom = field_.spec.domain
     lpts, rpts = [], []
     for k in range(2, 10):
         t = ct - k * cell * 0.75
         if t < 0:
             continue
+        gap = partial(_gap, field_, t=t)
         # locate a frozen probe near the middle
         probe = None
         for x in np.linspace(cx - 2 * cell, cx + 2 * cell, 9):
-            if _gap(field_, x, t) <= eps:
+            if dom.contains(x) and gap(x) <= eps:
                 probe = x
                 break
         if probe is None:
             continue
-        left = _boundary_x(field_, eps, t, probe, probe - 8 * cell)
-        right = _boundary_x(field_, eps, t, probe, probe + 8 * cell)
+        left = _boundary(gap, eps, probe, probe - 8 * cell, dom.a1, dom.a2)
+        right = _boundary(gap, eps, probe, probe + 8 * cell, dom.a1, dom.a2)
         if left is not None:
             lpts.append((left, t))
         if right is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Tuple
 
 INF = math.inf
 
@@ -49,10 +49,6 @@ class IntervalUnion:
         self.intervals: Tuple[Interval, ...] = _merge(intervals)
 
     @classmethod
-    def empty(cls) -> "IntervalUnion":
-        return cls(())
-
-    @classmethod
     def whole_line(cls) -> "IntervalUnion":
         return cls(((-INF, INF),))
 
@@ -84,11 +80,6 @@ class IntervalUnion:
             total += hi - lo
         return total
 
-    def is_bounded(self) -> bool:
-        if not self.intervals:
-            return True
-        return math.isfinite(self.intervals[0][0]) and math.isfinite(self.intervals[-1][1])
-
     def contains(self, x: float, atol: float = 0.0) -> bool:
         idx = bisect_right(self.intervals, (x, INF))
         if idx > 0 and self.intervals[idx - 1][1] >= x - atol:
@@ -114,9 +105,6 @@ class IntervalUnion:
 
     # -- algebra ---------------------------------------------------------
 
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(self.intervals + other.intervals)
-
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         out: list[Interval] = []
         a, b = self.intervals, other.intervals
@@ -135,30 +123,9 @@ class IntervalUnion:
     def clip(self, lo: float, hi: float) -> "IntervalUnion":
         return self.intersect(IntervalUnion(((lo, hi),)))
 
-    def translate(self, dx: float) -> "IntervalUnion":
-        return IntervalUnion(tuple((lo + dx, hi + dx) for lo, hi in self.intervals))
-
     def reflect(self) -> "IntervalUnion":
         """The mirror image {-x : x in self}."""
         return IntervalUnion(tuple((-hi, -lo) for lo, hi in reversed(self.intervals)))
-
-    def complement_within(self, lo: float, hi: float) -> "IntervalUnion":
-        """[lo, hi] \\ self, as a closed-interval union (endpoint overlaps ignored)."""
-        gaps: list[Interval] = []
-        cur = lo
-        for a, b in self.intervals:
-            if b < lo:
-                continue
-            if a > hi:
-                break
-            if a > cur:
-                gaps.append((cur, min(a, hi)))
-            cur = max(cur, b)
-            if cur >= hi:
-                break
-        if cur < hi:
-            gaps.append((cur, hi))
-        return IntervalUnion(gaps)
 
     def symmetric_difference_measure(self, other: "IntervalUnion") -> float:
         """Lebesgue measure of the symmetric difference (inf if tails differ)."""
@@ -177,7 +144,3 @@ class IntervalUnion:
             if self.contains(x) != other.contains(x):
                 total += width
         return total
-
-
-def union_from_pairs(pairs: Sequence[Interval]) -> IntervalUnion:
-    return IntervalUnion(pairs)

@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .intervals import IntervalUnion, merge_sorted
-from .problem import ProblemSpec, PiecewiseLinear, validate
+from .problem import ProblemSpec, validate
 
 INF = math.inf
 
@@ -310,19 +310,11 @@ class _LevelPair:
         return self._w
 
 
-def _v_slice(spec: ProblemSpec, b: float) -> _LevelSlice:
-    return _LevelPair(spec, b).vslice()
-
-
-def _w_slice(spec: ProblemSpec, b: float) -> _LevelSlice:
-    return _LevelPair(spec, b).wslice()
-
-
 def sublevel_set(spec: ProblemSpec, b: float, t: float) -> IntervalUnion:
     """A(v,b,t): surviving sublevel points transported to the right by t."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    sl = _v_slice(spec, b)
+    sl = _LevelPair(spec, b).vslice()
     moved = [(lo + t, hi + t) for lo, hi in sl.survivors(t)]
     out = IntervalUnion(moved)
     if spec.domain.is_segment:
@@ -334,42 +326,11 @@ def superlevel_set(spec: ProblemSpec, b: float, t: float) -> IntervalUnion:
     """A(w,b,t): surviving superlevel points transported to the left by t."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    sl = _w_slice(spec, b)
+    sl = _LevelPair(spec, b).wslice()
     moved = IntervalUnion([(lo + t, hi + t) for lo, hi in sl.survivors(t)]).reflect()
     if spec.domain.is_segment:
         moved = moved.clip(spec.domain.a1, spec.domain.a2)
     return moved
-
-
-# ---------------------------------------------------------------------------
-# Localization of whole-line data
-# ---------------------------------------------------------------------------
-
-
-def localize(spec: ProblemSpec, b_extent: float) -> ProblemSpec:
-    """Replace data outside [-b_extent, b_extent] by maximal-slope cones.
-
-    v0 continues with slopes -lam (left) and +lam (right); w0 with +lam and
-    -lam, so the gap grows linearly outward.  Inside the triangle of
-    determinacy {(x,t): -b_extent + t < x < b_extent - t} the solution
-    coincides with the one for the original data.
-    """
-    if spec.domain.is_segment:
-        raise ValueError("localize applies to whole-line problems only")
-    if not b_extent > 0:
-        raise ValueError("b_extent must be positive")
-    lam = spec.lipschitz
-    b = float(b_extent)
-
-    def clipped(f: PiecewiseLinear, left_slope, right_slope):
-        xs = [x for x in f.xs if -b < x < b]
-        xs = [-b] + xs + [b]
-        ys = [f(x) for x in xs]
-        return PiecewiseLinear(xs, ys, left_slope, right_slope)
-
-    v0 = clipped(spec.v0, -lam, lam)
-    w0 = clipped(spec.w0, lam, -lam)
-    return ProblemSpec(spec.domain, v0, w0)
 
 
 # ---------------------------------------------------------------------------
@@ -386,23 +347,13 @@ class SolutionField:
     and all queries are pure, so concurrent reads are safe; the level-slice
     cache is a pure memoization keyed by b.
 
-    The integrand sweep integrates the linear extension tails exactly, so no
-    automatic localization is needed for far-out whole-line queries;
-    ``localization_margin`` is kept for callers that pre-localize with
-    ``localize`` and want a recorded margin.
+    The integrand sweep integrates the linear extension tails exactly, so
+    far-out whole-line queries are as exact as near ones.
     """
 
-    def __init__(
-        self,
-        spec: ProblemSpec,
-        tolerance: float = 1e-10,
-        localization_margin: float = 1.0,
-        strict: bool = True,
-    ):
-        if not tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if not localization_margin > 0:
-            raise ValueError("localization_margin must be positive")
+    def __init__(self, spec: ProblemSpec, tolerance: float = 1e-10, strict: bool = True):
+        if not (math.isfinite(tolerance) and tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
         if strict:
             report = validate(spec)
             hard = report.errors()
@@ -410,38 +361,22 @@ class SolutionField:
                 raise ValueError(f"inadmissible problem: {[i.message for i in hard]}")
         self.spec = spec
         self.tolerance = float(tolerance)
-        self.localization_margin = float(localization_margin)
         self._cache: dict = {}
 
-    # -- slices ----------------------------------------------------------
-
-    def _pair(self, b: float) -> _LevelPair:
-        pair = self._cache.get(b)
-        if pair is None:
-            if len(self._cache) > _CACHE_CAP:
-                self._cache.clear()
-            pair = _LevelPair(self.spec, b)
-            self._cache[b] = pair
-        return pair
-
-    def member_v(self, x: float, t: float, b: float) -> bool:
-        x = self._nudge(x)
-        return self._pair(b).vslice().membership(x - t, t)
-
-    def member_w(self, x: float, t: float, b: float) -> bool:
-        x = self._nudge(x)
-        return self._pair(b).wslice().membership(-(x + t), t)
-
     # -- brackets ----------------------------------------------------------
+
+    def _value_range(self, lo_x: float, hi_x: float) -> Tuple[float, float]:
+        """Smallest and largest value of v0 and w0 over [lo_x, hi_x]."""
+        v_lo, v_hi = self.spec.v0.min_max_on(lo_x, hi_x)
+        w_lo, w_hi = self.spec.w0.min_max_on(lo_x, hi_x)
+        return min(v_lo, w_lo), max(v_hi, w_hi)
 
     def _bracket(self, x: float, t: float) -> Tuple[float, float]:
         dom = self.spec.domain
         lo_x, hi_x = x - t, x + t
         if dom.is_segment:
             lo_x, hi_x = max(lo_x, dom.a1), min(hi_x, dom.a2)
-        v_lo, v_hi = self.spec.v0.min_max_on(lo_x, hi_x)
-        w_lo, w_hi = self.spec.w0.min_max_on(lo_x, hi_x)
-        return min(v_lo, w_lo), max(v_hi, w_hi)
+        return self._value_range(lo_x, hi_x)
 
     def _check_point(self, x: float, t: float):
         if t < 0:
@@ -466,32 +401,18 @@ class SolutionField:
     # -- point evaluation ---------------------------------------------------
 
     def eval_v(self, x: float, t: float, bracket: Optional[Tuple[float, float]] = None) -> float:
-        self._check_point(x, t)
-        lo, hi = bracket if bracket is not None else self._bracket(x, t)
-        tol = self.tolerance * max(1.0, hi - lo)
-        pad = 1e-9 * (1.0 + abs(lo) + abs(hi)) + 4.0 * tol
-        lo -= pad
-        hi += pad
-        cache = self._cache
-        spec = self.spec
-        x0 = self._nudge(x) - t
-        for _ in range(_MAX_BISECT):
-            if hi - lo <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            pair = cache.get(mid)
-            if pair is None:
-                if len(cache) > _CACHE_CAP:
-                    cache.clear()
-                pair = _LevelPair(spec, mid)
-                cache[mid] = pair
-            if pair.vslice().membership(x0, t):
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        return self._invert(x, t, bracket, False)
 
     def eval_w(self, x: float, t: float, bracket: Optional[Tuple[float, float]] = None) -> float:
+        return self._invert(x, t, bracket, True)
+
+    def _invert(self, x: float, t: float, bracket: Optional[Tuple[float, float]], reflected: bool) -> float:
+        """Bisect in b over the membership predicate of one side.
+
+        The v side probes the sublevel slice at x - t, where membership
+        rises with b.  w is v of the mirrored problem, so the w side probes
+        the reflected slice at -(x + t), where membership falls with b.
+        """
         self._check_point(x, t)
         lo, hi = bracket if bracket is not None else self._bracket(x, t)
         tol = self.tolerance * max(1.0, hi - lo)
@@ -500,7 +421,10 @@ class SolutionField:
         hi += pad
         cache = self._cache
         spec = self.spec
-        xr = -(self._nudge(x) + t)
+        if reflected:
+            x0, side = -(self._nudge(x) + t), _LevelPair.wslice
+        else:
+            x0, side = self._nudge(x) - t, _LevelPair.vslice
         for _ in range(_MAX_BISECT):
             if hi - lo <= tol:
                 break
@@ -511,10 +435,10 @@ class SolutionField:
                     cache.clear()
                 pair = _LevelPair(spec, mid)
                 cache[mid] = pair
-            if pair.wslice().membership(xr, t):
-                lo = mid
-            else:
+            if side(pair).membership(x0, t) != reflected:
                 hi = mid
+            else:
+                lo = mid
         return 0.5 * (lo + hi)
 
     def eval_pair(self, x: float, t: float) -> Tuple[float, float]:
@@ -552,9 +476,7 @@ class SolutionField:
         dom = self.spec.domain
         if dom.is_segment:
             lo_x, hi_x = max(lo_x, dom.a1), min(hi_x, dom.a2)
-        v_lo, v_hi = self.spec.v0.min_max_on(lo_x, hi_x)
-        w_lo, w_hi = self.spec.w0.min_max_on(lo_x, hi_x)
-        bracket = (min(v_lo, w_lo), max(v_hi, w_hi))
+        bracket = self._value_range(lo_x, hi_x)
         V = np.empty((len(ts), len(xs)))
         W = np.empty((len(ts), len(xs)))
         ev, ew = self.eval_v, self.eval_w
@@ -569,7 +491,5 @@ class SolutionField:
     def zone_epsilon(self) -> float:
         lo, hi = self.spec.breakpoint_span()
         pad = max(1.0, hi - lo)
-        v_lo, v_hi = self.spec.v0.min_max_on(lo - pad, hi + pad)
-        w_lo, w_hi = self.spec.w0.min_max_on(lo - pad, hi + pad)
-        scale = max(1.0, max(v_hi, w_hi) - min(v_lo, w_lo))
-        return 10.0 * self.tolerance * scale
+        b_lo, b_hi = self._value_range(lo - pad, hi + pad)
+        return 10.0 * self.tolerance * max(1.0, b_hi - b_lo)

@@ -55,10 +55,10 @@ class AnnihilationState:
     eroded_red: float = 0.0
 
 
-def _to_segs(iu: IntervalUnion, drop_points: bool = True) -> List[_Seg]:
+def _to_segs(iu: IntervalUnion) -> List[_Seg]:
     out = []
     for lo, hi in iu:
-        if drop_points and hi - lo <= 0.0:
+        if hi - lo <= 0.0:
             continue  # measure-zero components pass through; drop them
         out.append(_Seg(lo, hi))
     return out

