@@ -182,23 +182,17 @@ def _trace(
                 break
             raise CharacteristicStepError(cur_x, cur_t, "no subsonic move preserves the value")
         cur_x, cur_t = nxt
-        # segment backward traces may terminate on the emitting boundary
-        if not forward and spec.domain.is_segment:
-            if kind is CurveKind.V_CHAR and cur_x <= spec.domain.a1 + 1e-12:
-                samples.append((cur_x, cur_t))
-                values.append(ev(cur_x, cur_t))
-                zones.append(classify(field_, cur_x, cur_t, eps))
-                termination = "left boundary"
-                break
-            if kind is CurveKind.W_CHAR and cur_x >= spec.domain.a2 - 1e-12:
-                samples.append((cur_x, cur_t))
-                values.append(ev(cur_x, cur_t))
-                zones.append(classify(field_, cur_x, cur_t, eps))
-                termination = "right boundary"
-                break
         samples.append((cur_x, cur_t))
         values.append(ev(cur_x, cur_t))
         zones.append(classify(field_, cur_x, cur_t, eps))
+        # segment backward traces may terminate on the emitting boundary
+        if not forward and spec.domain.is_segment:
+            if kind is CurveKind.V_CHAR and cur_x <= spec.domain.a1 + 1e-12:
+                termination = "left boundary"
+                break
+            if kind is CurveKind.W_CHAR and cur_x >= spec.domain.a2 - 1e-12:
+                termination = "right boundary"
+                break
     if not forward:
         samples.reverse()
         values.reverse()

@@ -348,40 +348,28 @@ def check_lipschitz_map(
 # ---------------------------------------------------------------------------
 
 
-def random_pl_spec(
-    rng: np.random.Generator,
-    segment: Optional[bool] = None,
-    max_extrema: int = 12,
-    span: float = 5.0,
-    max_slope: float = 4.0,
-    flat_tails: bool = False,
-) -> ProblemSpec:
-    """Seeded random admissible spec: v0 a bounded-slope random walk, w0 the
-    same minus a nonnegative random gap (zero gap at segment endpoints).
-    ``flat_tails`` makes the whole-line extensions constant, which gives
-    finite global variation."""
+def random_pl_spec(rng: np.random.Generator, segment: Optional[bool] = None) -> ProblemSpec:
+    """Seeded random admissible spec: v0 a random walk with slopes below 4
+    over 3 to 12 breakpoints in [-5, 5], w0 the same minus a nonnegative
+    random gap (zero gap at segment endpoints)."""
     if segment is None:
         segment = bool(rng.random() < 0.5)
-    k = int(rng.integers(3, max_extrema + 1))
-    xs = np.sort(rng.uniform(-span, span, size=k))
+    k = int(rng.integers(3, 13))
+    xs = np.sort(rng.uniform(-5.0, 5.0, size=k))
     while np.min(np.diff(xs)) < 1e-3:
-        xs = np.sort(rng.uniform(-span, span, size=k))
+        xs = np.sort(rng.uniform(-5.0, 5.0, size=k))
     steps = np.r_[1.0, np.diff(xs)]
-    vy = np.cumsum(rng.uniform(-max_slope, max_slope, size=k) * steps)
-    gap = np.abs(np.cumsum(rng.uniform(-max_slope * 0.75, max_slope * 0.75, size=k) * steps))
+    vy = np.cumsum(rng.uniform(-4.0, 4.0, size=k) * steps)
+    gap = np.abs(np.cumsum(rng.uniform(-3.0, 3.0, size=k) * steps))
     if segment:
         gap[0] = 0.0
         gap[-1] = 0.0
         v0 = PiecewiseLinear(xs, vy)
         w0 = PiecewiseLinear(xs, vy - gap)
         return ProblemSpec(Domain.segment(xs[0], xs[-1]), v0, w0)
-    if flat_tails:
-        v0 = PiecewiseLinear(xs, vy, 0.0, 0.0)
-        w0 = PiecewiseLinear(xs, vy - gap, 0.0, 0.0)
-        return ProblemSpec(Domain.whole_line(), v0, w0)
-    vls, vrs = rng.uniform(-max_slope, max_slope, size=2)
-    gls = -abs(rng.uniform(0.0, max_slope * 0.5))
-    grs = abs(rng.uniform(0.0, max_slope * 0.5))
+    vls, vrs = rng.uniform(-4.0, 4.0, size=2)
+    gls = -abs(rng.uniform(0.0, 2.0))
+    grs = abs(rng.uniform(0.0, 2.0))
     v0 = PiecewiseLinear(xs, vy, vls, vrs)
     w0 = PiecewiseLinear(xs, vy - gap, vls - gls, vrs - grs)
     return ProblemSpec(Domain.whole_line(), v0, w0)

@@ -8,7 +8,7 @@ reference formulas for the solution or its boundary geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict
 
 import numpy as np
@@ -22,7 +22,6 @@ class Fixture:
     description: str
     build: Callable[[], ProblemSpec]
     horizon: float
-    references: Dict[str, object] = field(default_factory=dict)
 
 
 # -- wedge: v0 = |x|, w0 = x/2 ------------------------------------------------
@@ -70,18 +69,8 @@ def _parabolas(n: int = 2001) -> ProblemSpec:
     return ProblemSpec(Domain.whole_line(), v0, w0)
 
 
-def parabolas_z_of_b(b: float) -> float:
-    return 0.5 * (math.sqrt(b) - math.sqrt(3.0 - b) + 4.0)
-
-
 def parabolas_freeze_time(b: float) -> float:
     return 0.5 * (4.0 - math.sqrt(3.0 - b) - math.sqrt(b))
-
-
-def parabolas_thaw_time(b: float) -> float:
-    if b <= 1.5:
-        return 0.5 * (3.0 * math.sqrt(b) - math.sqrt(3.0 - b) + 4.0)
-    return 0.5 * (-math.sqrt(b) + 3.0 * math.sqrt(3.0 - b) + 4.0)
 
 
 PARABOLAS_LEFT_CORNER = ((4.0 - math.sqrt(3.0)) / 2.0, (4.0 - math.sqrt(3.0)) / 2.0)
@@ -100,14 +89,6 @@ def _ramp(n: int = 401) -> ProblemSpec:
     w0 = PiecewiseLinear(xs, xs * xs, left_slope=1.0, right_slope=1.0)
     v0 = PiecewiseLinear([-1.0, 1.0], [1.0, 3.0], 1.0, 1.0)
     return ProblemSpec(Domain.whole_line(), v0, w0)
-
-
-def ramp_thaw_time(z: float) -> float:
-    return -z - math.sqrt(z + 2.0)
-
-
-def ramp_freeze_time(z: float) -> float:
-    return 0.5 * (-2.0 * z + math.sqrt(4.0 * z + 9.0) - 1.0)
 
 
 RAMP_CORNER = (-2.0, 2.0)
@@ -161,7 +142,6 @@ FIXTURES: Dict[str, Fixture] = {
             "boundary x=3t and thawing boundary x=3t/5",
             _wedge,
             2.0,
-            {"v": wedge_v_exact, "w": wedge_w_exact},
         ),
         Fixture(
             "parabolas",
@@ -169,13 +149,6 @@ FIXTURES: Dict[str, Fixture] = {
             "frozen triangle with known corner positions and slopes",
             _parabolas,
             3.5,
-            {
-                "left_corner": PARABOLAS_LEFT_CORNER,
-                "right_corner": PARABOLAS_RIGHT_CORNER,
-                "tip": PARABOLAS_TIP,
-                "freeze_time": parabolas_freeze_time,
-                "thaw_time": parabolas_thaw_time,
-            },
         ),
         Fixture(
             "ramp",
@@ -183,7 +156,6 @@ FIXTURES: Dict[str, Fixture] = {
             "with one-sided slopes 0 (freezing) and -inf (thawing)",
             _ramp,
             3.0,
-            {"corner": RAMP_CORNER, "thaw_time": ramp_thaw_time, "freeze_time": ramp_freeze_time},
         ),
         Fixture("tent", "tent dispersion on [0,2]: v0=1-|x-1|, w0=-v0", _tent, 4.0),
         Fixture("seg-tent", "small tent dispersion on [0,1]", _seg_tent, 3.0),

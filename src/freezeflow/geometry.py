@@ -27,37 +27,17 @@ import numpy as np
 
 from .characteristics import Curve, CurveKind
 from .levelset import SolutionField
-from .problem import PiecewiseLinear, ProblemSpec
+from .problem import ProblemSpec
+
+# a branch whose dx/dt is below this is reported with dt/dx capped at its
+# inverse and flagged unbounded
+SLOPE_TOL = 0.01
 
 
 class CornerKind(Enum):
     FREEZE_THAW = "freeze_thaw"
     THAW_FREEZE = "thaw_freeze"
     TIP = "tip"
-
-
-@dataclass
-class Corner:
-    x: float
-    t: float
-    kind: CornerKind
-    # incident curve indices into BoundarySet lists, with the end ("lo"/"hi" in x)
-    # that touches the corner; a tip has two thawing branches
-    freezing: Optional[Tuple[int, str]] = None
-    thawing: Optional[Tuple[int, str]] = None
-    thawing2: Optional[Tuple[int, str]] = None
-    # refined boundary samples (exact gap-field bisections) near the corner,
-    # ordered nearest-first; used for one-sided slope measurement
-    freezing_pts: Optional[List[Tuple[float, float]]] = None
-    thawing_pts: Optional[List[Tuple[float, float]]] = None
-    # one-sided derivatives of the refined quadratic fits at the corner:
-    # dt/dx for the freezing slot, dx/dt for thawing branches
-    fit_f_slope: Optional[float] = None
-    fit_f_dxdt: Optional[float] = None
-    fit_t_dxdt: Optional[float] = None
-    # spread of dx/dt along the thawing ladder; a corner derivative small
-    # against this spread cannot be certified nonzero (unbounded slope)
-    fit_t_spread: float = 0.0
 
 
 @dataclass
@@ -69,6 +49,24 @@ class CornerSlopes:
 
     def __iter__(self):
         return iter((self.freezing_slope, self.thawing_slope))
+
+
+@dataclass
+class Corner:
+    """A corner of the frozen zone with the boundary samples next to it.
+
+    ``freezing_pts`` and ``thawing_pts`` are the exact gap-field bisections
+    of the two incident branches (for a tip, its two thawing branches), or
+    the incident polyline's samples when refinement kept none.  ``slopes`` holds the one-sided slopes of the refined quadratic
+    fits; it is None when the fits did not hold.
+    """
+
+    x: float
+    t: float
+    kind: CornerKind
+    freezing_pts: Optional[List[Tuple[float, float]]] = None
+    thawing_pts: Optional[List[Tuple[float, float]]] = None
+    slopes: Optional[CornerSlopes] = None
 
 
 @dataclass
@@ -267,9 +265,12 @@ def extract_boundaries(
     """Trace the liquid/frozen interface inside window = (x0, x1, t0, t1).
 
     Classifies a (nx x nt) grid by the sign of v - w - zone_epsilon, chains
-    the marching-squares contour, splits it into freezing and thawing pieces
-    by slope regime, and refines corners by intersecting incident line fits.
-    A too-coarse resolution is reported in ``warnings``, not raised.
+    the marching-squares contour and splits it into freezing and thawing
+    pieces by slope regime.  Each regime change is a corner, seeded where
+    line fits of the incident pieces meet and then refined against the
+    exact gap field (``_refine_corner``, ``_refine_tip``); its position is
+    clamped to the domain and to t >= 0.  A too-coarse resolution is
+    reported in ``warnings``, not raised.
     """
     x0, x1, t0, t1 = window
     nx, nt = resolution
@@ -302,8 +303,7 @@ def extract_boundaries(
                 k0 = pivots[0]
                 pts = pts[k0:] + pts[:k0]
                 reg = reg[k0:] + reg[:k0]
-            pts = pts + [pts[0]]
-            reg = reg  # one regime entry per segment; len(pts) == len(reg) + 1 now
+            pts = pts + [pts[0]]  # one regime entry per segment
         reg = _suppress_runs(reg)
         # split into maximal one-regime pieces
         pieces = []
@@ -318,23 +318,18 @@ def extract_boundaries(
             label, tail = pieces.pop()
             head = pieces[0][1]
             pieces[0] = (label, tail[:-1] + head)
-        if closed and len(pieces) == 1:
-            kind = CurveKind.FREEZING if pieces[0][0] == "F" else CurveKind.THAWING
-            (out.freezing if pieces[0][0] == "F" else out.thawing).append(
-                _make_curve(kind, pieces[0][1])
-            )
-            continue
-        piece_refs = []
         for regime, sub in pieces:
-            kind = CurveKind.FREEZING if regime == "F" else CurveKind.THAWING
-            lst = out.freezing if regime == "F" else out.thawing
-            lst.append(_make_curve(kind, sub))
-            piece_refs.append((regime, len(lst) - 1, sub))
+            if regime == "F":
+                out.freezing.append(_make_curve(CurveKind.FREEZING, sub))
+            else:
+                out.thawing.append(_make_curve(CurveKind.THAWING, sub))
+        if closed and len(pieces) == 1:
+            continue
         # corners at regime changes (plus the wrap-around joint on loops)
-        joints = list(zip(piece_refs, piece_refs[1:]))
-        if closed and len(piece_refs) > 1:
-            joints.append((piece_refs[-1], piece_refs[0]))
-        for (rg_a, ia, sub_a), (rg_b, ib, sub_b) in joints:
+        joints = list(zip(pieces, pieces[1:]))
+        if closed and len(pieces) > 1:
+            joints.append((pieces[-1], pieces[0]))
+        for (rg_a, sub_a), (rg_b, sub_b) in joints:
             joint = sub_a[-1]
             fit_a = _fit_line(sub_a[-min(5, len(sub_a)) :])
             fit_b = _fit_line(sub_b[: min(5, len(sub_b))])
@@ -342,26 +337,20 @@ def extract_boundaries(
             cx, ct = hit if hit is not None else joint
             if math.hypot(cx - joint[0], ct - joint[1]) > 6 * cell:
                 cx, ct = joint  # ill-conditioned fit; keep the raw joint
-            end_a = "lo" if sub_a[-1][0] <= sub_a[0][0] else "hi"
-            end_b = "lo" if sub_b[0][0] <= sub_b[-1][0] else "hi"
             if rg_a == "F" or rg_b == "F":
-                if rg_a == "F":
-                    freezing_ref, thawing_ref = (ia, end_a), (ib, end_b)
-                    f_sub, t_sub = sub_a, sub_b
-                else:
-                    freezing_ref, thawing_ref = (ib, end_b), (ia, end_a)
-                    f_sub, t_sub = sub_b, sub_a
+                f_sub, t_sub = (sub_a, sub_b) if rg_a == "F" else (sub_b, sub_a)
                 # freeze/thaw corner: the freezing branch lies below the thawing one
                 f_t = np.mean([p[1] for p in f_sub])
                 t_t = np.mean([p[1] for p in t_sub])
                 kind = CornerKind.FREEZE_THAW if f_t <= t_t else CornerKind.THAW_FREEZE
-                corner = Corner(cx, ct, kind, freezing=freezing_ref, thawing=thawing_ref)
+                corner = Corner(cx, ct, kind)
                 _refine_corner(field_, eps, corner, f_sub, t_sub, cell)
             else:
-                corner = Corner(cx, ct, CornerKind.TIP, thawing=(ia, end_a), thawing2=(ib, end_b))
+                corner = Corner(cx, ct, CornerKind.TIP)
                 _refine_tip(field_, eps, corner, sub_a, sub_b, cell)
-            # a fit extrapolated to a segment end can overshoot it by ~1e-9
+            # a fit extrapolated to a segment end or to t = 0 can overshoot it by ~1e-9
             corner.x = min(max(corner.x, dom.a1), dom.a2)
+            corner.t = max(corner.t, 0.0)
             out.corners.append(corner)
     return out
 
@@ -404,68 +393,44 @@ def _boundary(gap, eps, frozen, liquid, lo, hi):
 
 
 def _curve_interp(sub, by_x: bool):
-    pts = sorted(sub, key=(lambda p: p[0]) if by_x else (lambda p: p[1]))
-    if by_x:
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-    else:
-        xs = [p[1] for p in pts]
-        ys = [p[0] for p in pts]
-    def f(q):
-        return float(np.interp(q, xs, ys))
-    return f, (min(xs), max(xs))
+    """The polyline ``sub`` as a graph t(x) (``by_x``) or x(t), and its range."""
+    us, vs = zip(*sorted((p if by_x else p[::-1] for p in sub), key=lambda p: p[0]))
+    return (lambda q: float(np.interp(q, us, vs))), (us[0], us[-1])
 
 
-def _refine_freezing_branch(field_, eps, sub, corner_xy, cell, n=10, margin=3.0):
-    """Exact boundary samples (x, T_f(x)) marching away from the corner.
+def _ladder(field_, eps, sub, corner_xy, cell, by_x, margin):
+    """Up to ten exact boundary samples on one branch, marching away from
+    the corner.
 
-    The freezing curve is a graph over x with liquid below and frozen above,
-    so each sample is a t-bisection of the gap field at fixed x.  The ladder
-    starts ``margin`` cells away from the estimated corner so that corner
-    position error cannot push samples onto the other incident branch.
+    A freezing branch is a graph t(x) (``by_x``), a thawing branch a graph
+    x(t).  Each sample fixes the branch's own coordinate and bisects the
+    other one within 3 cells of the polyline ``sub``, clamped to the domain
+    (x in [a1, a2], t >= 0); the frozen end of that bracket is found by
+    probing its lower end.  The ladder starts ``margin`` cells away from the
+    estimated corner so that corner position error cannot push samples onto
+    the other incident branch.
     """
-    cx, ct = corner_xy
-    t_of_x, (x_lo, x_hi) = _curve_interp(sub, by_x=True)
-    away = -1.0 if abs(x_lo - cx) > abs(x_hi - cx) else 1.0
+    other_of, (u_lo, u_hi) = _curve_interp(sub, by_x)
+    u0 = corner_xy[0] if by_x else corner_xy[1]
+    away = -1.0 if abs(u_lo - u0) > abs(u_hi - u0) else 1.0
     dom = field_.spec.domain
+    x_range = (dom.a1, dom.a2)
+    u_min, u_max = x_range if by_x else (0.0, math.inf)
+    lo, hi = (0.0, math.inf) if by_x else x_range
     pts = []
-    for k in range(n):
-        x = cx + away * (margin + 0.8 * k) * cell
-        if not dom.contains(x):
+    for k in range(10):
+        u = u0 + away * (margin + 0.8 * k) * cell
+        if not u_min <= u <= u_max:
             continue
-        t_est = t_of_x(min(max(x, x_lo), x_hi))
-        gap = partial(_gap, field_, x)
-        hit = _boundary(gap, eps, t_est + 3 * cell, t_est - 3 * cell, 0.0, math.inf)
-        if hit is not None:
-            pts.append((x, hit))
-    return pts
-
-
-def _refine_thawing_branch(field_, eps, sub, corner_xy, cell, n=10, margin=3.0):
-    """Exact boundary samples (X(t), t) marching away from the corner.
-
-    The thawing curve is a graph over t; the frozen side is found by probing
-    left and right of the estimated curve position.  Same margin logic as the
-    freezing ladder.
-    """
-    cx, ct = corner_xy
-    x_of_t, (t_lo, t_hi) = _curve_interp(sub, by_x=False)
-    away = -1.0 if abs(t_lo - ct) > abs(t_hi - ct) else 1.0
-    dom = field_.spec.domain
-    pts = []
-    for k in range(n):
-        t = ct + away * (margin + 0.8 * k) * cell
-        if t < 0:
-            continue
-        x_est = x_of_t(min(max(t, t_lo), t_hi))
-        left, right = max(x_est - 3 * cell, dom.a1), min(x_est + 3 * cell, dom.a2)
-        gap = partial(_gap, field_, t=t)
-        if gap(left) <= eps:
-            hit = _boundary(gap, eps, left, right, dom.a1, dom.a2)
+        est = other_of(min(max(u, u_lo), u_hi))
+        below, above = max(est - 3 * cell, lo), min(est + 3 * cell, hi)
+        gap = partial(_gap, field_, u) if by_x else partial(_gap, field_, t=u)
+        if gap(below) <= eps:
+            hit = _boundary(gap, eps, below, above, lo, hi)
         else:
-            hit = _boundary(gap, eps, right, left, dom.a1, dom.a2)
+            hit = _boundary(gap, eps, above, below, lo, hi)
         if hit is not None:
-            pts.append((hit, t))
+            pts.append((u, hit) if by_x else (hit, u))
     return pts
 
 
@@ -476,12 +441,7 @@ def _fit_quad(pts, by_x: bool):
     u = x, v = t (by_x) or u = t, v = x.  The quadratic removes the
     linear slope variation that biases straight-line corner fits.
     """
-    if by_x:
-        u = np.array([p[0] for p in pts])
-        v = np.array([p[1] for p in pts])
-    else:
-        u = np.array([p[1] for p in pts])
-        v = np.array([p[0] for p in pts])
+    u, v = np.array([p if by_x else p[::-1] for p in pts]).T
     deg = 2 if len(pts) >= 4 else 1
     c = np.polyfit(u, v, deg)
     if deg == 1:
@@ -492,18 +452,17 @@ def _fit_quad(pts, by_x: bool):
 def _refine_corner(field_, eps, corner, f_sub, t_sub, cell):
     """Recompute a freeze/thaw corner from exact boundary samples.
 
-    Two passes: each samples both branches by bisecting the gap field in the
-    branch's graph direction (starting a safety margin away from the current
-    corner estimate), fits quadratics, and moves the corner to the fixed
-    point of x -> X_thaw(T_freeze(x)).  The second pass, anchored at the
-    pass-one corner, tightens the ladders; one-sided slopes are the fitted
-    derivatives at the final corner.
+    Two passes: each samples both branches with ``_ladder`` (starting a
+    safety margin away from the current corner estimate), fits quadratics,
+    and moves the corner to the fixed point of x -> X_thaw(T_freeze(x)).
+    The second pass, anchored at the pass-one corner, tightens the ladders;
+    one-sided slopes are the fitted derivatives at the final corner.
     """
     fpts = tpts = None
     for margin in (3.0, 1.2):
         est = (corner.x, corner.t)
-        fpts = _refine_freezing_branch(field_, eps, f_sub, est, cell, margin=margin)
-        tpts = _refine_thawing_branch(field_, eps, t_sub, est, cell, margin=margin)
+        fpts = _ladder(field_, eps, f_sub, est, cell, True, margin)
+        tpts = _ladder(field_, eps, t_sub, est, cell, False, margin)
         if len(fpts) < 3 or len(tpts) < 3:
             break
         qf = _fit_quad(fpts, by_x=True)   # t = qf(x)
@@ -519,12 +478,15 @@ def _refine_corner(field_, eps, corner, f_sub, t_sub, cell):
         if math.hypot(x_star - corner.x, t_star - corner.t) >= 6 * cell:
             break
         corner.x, corner.t = float(x_star), t_star
-        corner.fit_f_slope = float(2 * qf[0] * x_star + qf[1])
-        corner.fit_t_dxdt = float(2 * qt[0] * t_star + qt[1])
+        # a thawing dx/dt small against its spread along the ladder cannot
+        # be certified nonzero, so its slope counts as unbounded
         ms = [2 * qt[0] * p[1] + qt[1] for p in tpts]
-        corner.fit_t_spread = float(max(ms) - min(ms))
-    corner.freezing_pts = fpts or None
-    corner.thawing_pts = tpts or None
+        ts, tu = _steep(float(2 * qt[0] * t_star + qt[1]), float(max(ms) - min(ms)))
+        corner.slopes = CornerSlopes(float(2 * qf[0] * x_star + qf[1]), ts, False, tu)
+    # the incident polylines' samples (as in their Curves) stand in for
+    # ladders that kept nothing
+    corner.freezing_pts = fpts or sorted(f_sub)
+    corner.thawing_pts = tpts or sorted(t_sub)
 
 
 def _refine_tip(field_, eps, corner, sub_a, sub_b, cell):
@@ -556,8 +518,8 @@ def _refine_tip(field_, eps, corner, sub_a, sub_b, cell):
             lpts.append((left, t))
         if right is not None:
             rpts.append((right, t))
-    corner.freezing_pts = lpts or None
-    corner.thawing_pts = rpts or None
+    corner.freezing_pts = lpts or sorted(sub_a)
+    corner.thawing_pts = rpts or sorted(sub_b)
     if len(lpts) < 3 or len(rpts) < 3:
         return
     ql = _fit_quad(lpts, by_x=False)   # x = ql(t)
@@ -570,25 +532,14 @@ def _refine_tip(field_, eps, corner, sub_a, sub_b, cell):
     x_star = float(np.polyval(ql, t_star))
     if math.hypot(x_star - cx, t_star - ct) < 8 * cell:
         corner.x, corner.t = x_star, float(t_star)
-        corner.fit_f_dxdt = float(2 * ql[0] * t_star + ql[1])
-        corner.fit_t_dxdt = float(2 * qr[0] * t_star + qr[1])
+        fs, fu = _steep(float(2 * ql[0] * t_star + ql[1]))
+        ts, tu = _steep(float(2 * qr[0] * t_star + qr[1]))
+        corner.slopes = CornerSlopes(fs, ts, fu, tu)
 
 
 # ---------------------------------------------------------------------------
 # Exact freezing curve for monotone data
 # ---------------------------------------------------------------------------
-
-
-def _solve_increasing(f: PiecewiseLinear, c: float, lo: float, hi: float) -> float:
-    """x in [lo, hi] with f(x) = c, for f strictly increasing there (exact)."""
-    knots = [lo] + [x for x in f.xs if lo < x < hi] + [hi]
-    vals = [f(x) for x in knots]
-    for k in range(len(knots) - 1):
-        if vals[k] <= c <= vals[k + 1]:
-            if vals[k + 1] == vals[k]:
-                return knots[k]
-            return knots[k] + (c - vals[k]) * (knots[k + 1] - knots[k]) / (vals[k + 1] - vals[k])
-    raise ValueError(f"value {c:g} not attained on [{lo:g}, {hi:g}]")
 
 
 def freezing_curve_monotone_case(
@@ -611,8 +562,9 @@ def freezing_curve_monotone_case(
         return Curve(CurveKind.FREEZING, [])
     pts = []
     for c in np.linspace(c_lo, c_hi, samples):
-        xi = _solve_increasing(spec.v0, c, y1, y2)
-        eta = _solve_increasing(spec.w0, c, y1, y2)
+        # on [y1, y2] each sublevel set is [y1, crossing]
+        xi = spec.v0.sublevel_intervals(c, (y1, y2))[0][1]
+        eta = spec.w0.sublevel_intervals(c, (y1, y2))[0][1]
         t = (eta - xi) / 2.0
         if t >= 0:
             pts.append(((xi + eta) / 2.0, t))
@@ -624,84 +576,59 @@ def freezing_curve_monotone_case(
 # ---------------------------------------------------------------------------
 
 
+def _steep(dxdt, spread=0.0):
+    """dt/dx of a branch from its dx/dt, with an unbounded flag.
+
+    A dx/dt within max(SLOPE_TOL, spread / 4) of zero cannot be told from a
+    vertical branch: its slope is capped at 1/SLOPE_TOL and flagged.
+    """
+    if abs(dxdt) < max(SLOPE_TOL, 0.25 * spread):
+        return (1.0 if dxdt >= 0 else -1.0) / SLOPE_TOL, True
+    return 1.0 / dxdt, False
+
+
 def _chord_pair(pts, corner):
     """Chord vectors toward the corner from the nearest sample and one at
-    roughly twice its distance (for Richardson extrapolation)."""
+    roughly twice its distance (for Richardson extrapolation).  A sample on
+    the corner itself gives no direction and is skipped."""
     cx, ct = corner
-    ordered = sorted(pts, key=lambda p: math.hypot(p[0] - cx, p[1] - ct))
-    (x1, t1) = ordered[0]
-    d1 = math.hypot(x1 - cx, t1 - ct)
-    far = next((p for p in ordered if math.hypot(p[0] - cx, p[1] - ct) >= 1.9 * d1), ordered[-1])
-    return (x1 - cx, t1 - ct), (far[0] - cx, far[1] - ct)
+    chords = [(x - cx, t - ct) for x, t in pts if (x, t) != (cx, ct)]
+    chords.sort(key=lambda c: math.hypot(*c))
+    d1 = math.hypot(*chords[0])
+    far = next((c for c in chords if math.hypot(*c) >= 1.9 * d1), chords[-1])
+    return chords[0], far
 
 
-def _one_sided_slope(pts, corner, slope_tol):
+def _one_sided_slope(pts, corner):
     """Richardson-extrapolated one-sided dt/dx toward the corner.
 
-    Near-vertical branches are extrapolated in dx/dt and inverted; slopes
-    steeper than 1/slope_tol are capped and flagged unbounded.
+    Near-vertical branches are extrapolated in dx/dt and passed to
+    ``_steep``.
     """
     if len(pts) < 5:
         raise ValueError("insufficient samples on the incident curve")
     (dx1, dt1), (dx2, dt2) = _chord_pair(pts, corner)
     if abs(dx1) >= abs(dt1):
-        s = 2.0 * (dt1 / dx1) - (dt2 / dx2)
-        return s, False
+        return 2.0 * (dt1 / dx1) - (dt2 / dx2), False
     m1 = dx1 / dt1
     m2 = dx2 / dt2 if dt2 != 0 else m1
-    m = 2.0 * m1 - m2
-    if abs(m) < slope_tol:
-        sign = math.copysign(1.0, m) if m != 0 else math.copysign(1.0, dt1 * dx1 if dx1 else 1.0)
-        return sign / slope_tol, True
-    return 1.0 / m, False
+    return _steep(2.0 * m1 - m2)
 
 
-def corner_slopes(
-    bset: BoundarySet, corner_index: int, slope_tol: float = 0.01
-) -> CornerSlopes:
+def corner_slopes(bset: BoundarySet, corner_index: int) -> CornerSlopes:
     """One-sided slopes dt/dx of the curves meeting at a corner.
 
     Returns (freezing_slope, thawing_slope); for a tip the two thawing
-    branches fill both slots.  Uses the refined exact boundary samples when
-    the extraction produced them, falling back to the raw polylines.  Slopes
-    steeper than 1/slope_tol are capped and flagged as unbounded.
+    branches fill both slots.  These are the refined fits'
+    derivatives (``Corner.slopes``) when the fits held, otherwise
+    Richardson extrapolations of the corner's boundary samples.  Slopes
+    steeper than 1/SLOPE_TOL are capped and flagged as unbounded.  Raises
+    ValueError when a branch has too few samples.
     """
     corner = bset.corners[corner_index]
+    if corner.slopes is not None:
+        return corner.slopes
     xy = (corner.x, corner.t)
-    fs = ts_ = None
-    fu = tu = False
-
-    def invert(m):
-        if abs(m) < slope_tol:
-            sign = math.copysign(1.0, m) if m != 0 else 1.0
-            return sign / slope_tol, True
-        return 1.0 / m, False
-
-    if corner.fit_f_slope is not None:
-        fs, fu = corner.fit_f_slope, False
-    elif corner.fit_f_dxdt is not None:
-        fs, fu = invert(corner.fit_f_dxdt)
-    else:
-        fpts = corner.freezing_pts
-        if fpts is None and corner.freezing is not None:
-            fpts = bset.freezing[corner.freezing[0]].samples
-        if fpts is None and corner.kind is CornerKind.TIP and corner.thawing is not None:
-            fpts = bset.thawing[corner.thawing[0]].samples
-        if fpts is not None:
-            fs, fu = _one_sided_slope(fpts, xy, slope_tol)
-    if corner.fit_t_dxdt is not None:
-        m = corner.fit_t_dxdt
-        if abs(m) < max(slope_tol, 0.25 * corner.fit_t_spread):
-            sign = math.copysign(1.0, m) if m != 0 else 1.0
-            ts_, tu = sign / slope_tol, True
-        else:
-            ts_, tu = invert(m)
-    else:
-        tpts = corner.thawing_pts
-        if tpts is None:
-            ref = corner.thawing if corner.kind is not CornerKind.TIP else corner.thawing2
-            if ref is not None:
-                tpts = bset.thawing[ref[0]].samples
-        if tpts is not None:
-            ts_, tu = _one_sided_slope(tpts, xy, slope_tol)
-    return CornerSlopes(fs, ts_, fu, tu)
+    fs, fu = _one_sided_slope(corner.freezing_pts, xy)
+    ts, tu = _one_sided_slope(corner.thawing_pts, xy)
+    return CornerSlopes(fs, ts, fu, tu)

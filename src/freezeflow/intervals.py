@@ -80,13 +80,9 @@ class IntervalUnion:
             total += hi - lo
         return total
 
-    def contains(self, x: float, atol: float = 0.0) -> bool:
+    def contains(self, x: float) -> bool:
         idx = bisect_right(self.intervals, (x, INF))
-        if idx > 0 and self.intervals[idx - 1][1] >= x - atol:
-            return True
-        if idx < len(self.intervals) and self.intervals[idx][0] <= x + atol:
-            return True
-        return False
+        return idx > 0 and self.intervals[idx - 1][1] >= x
 
     def has_lower_tail(self) -> bool:
         return bool(self.intervals) and self.intervals[0][0] == -INF

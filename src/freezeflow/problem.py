@@ -52,10 +52,8 @@ class Domain:
     def is_segment(self) -> bool:
         return self.kind is DomainKind.SEGMENT
 
-    def contains(self, x: float, atol: float = 0.0) -> bool:
-        if not self.is_segment:
-            return True
-        return self.a1 - atol <= x <= self.a2 + atol
+    def contains(self, x: float) -> bool:
+        return not self.is_segment or self.a1 <= x <= self.a2
 
 class PiecewiseLinear:
     """A continuous piecewise-linear function.
@@ -83,12 +81,13 @@ class PiecewiseLinear:
         for a, b in zip(xs, xs[1:]):
             if not b > a:
                 raise ValueError("breakpoints must be strictly increasing")
-        if any(not math.isfinite(v) for v in xs + ys):
-            raise ValueError("breakpoints and values must be finite")
-        self.xs = xs
-        self.ys = ys
         self.left_slope = None if left_slope is None else float(left_slope)
         self.right_slope = None if right_slope is None else float(right_slope)
+        slopes = tuple(s for s in (self.left_slope, self.right_slope) if s is not None)
+        if any(not math.isfinite(v) for v in xs + ys + slopes):
+            raise ValueError("breakpoints, values and slopes must be finite")
+        self.xs = xs
+        self.ys = ys
         self._xs_arr: Optional[np.ndarray] = None
         self._ys_arr: Optional[np.ndarray] = None
         self._runs: Optional[Tuple[Tuple[int, int, bool], ...]] = None
@@ -351,7 +350,7 @@ class PiecewiseLinear:
             s = sgn * self.left_slope
             if g0 <= 0:
                 raw.append((-INF, xs[0]) if s >= 0 else (xs[0] - g0 / s, xs[0]))
-            elif s > 0:
+            elif s > 0 and xs[0] - g0 / s > -INF:  # no point: the crossing overflowed
                 raw.append((-INF, xs[0] - g0 / s))
         # on a rising run {f <= b} is a prefix and {f >= b} a suffix, on a
         # falling run the reverse; bisecting ys (rising) or -ys (falling)
@@ -396,7 +395,7 @@ class PiecewiseLinear:
             s = sgn * self.right_slope
             if g1 <= 0:
                 raw.append((xs[-1], INF) if s <= 0 else (xs[-1], xs[-1] - g1 / s))
-            elif s < 0:
+            elif s < 0 and xs[-1] - g1 / s < INF:
                 raw.append((xs[-1] - g1 / s, INF))
         if domain is not None:
             lo_d, hi_d = domain
@@ -564,10 +563,13 @@ def _pl_to_json(f: PiecewiseLinear) -> dict:
     return out
 
 
-def _pl_from_json(obj: dict) -> PiecewiseLinear:
-    return PiecewiseLinear(
+def _pl_from_json(obj: dict, whole_line: bool) -> PiecewiseLinear:
+    f = PiecewiseLinear(
         obj["breakpoints"], obj["values"], obj.get("left_slope"), obj.get("right_slope")
     )
+    if whole_line and (f.left_slope is None or f.right_slope is None):
+        raise ValueError("whole-line functions need left_slope and right_slope")
+    return f
 
 
 def spec_to_json(spec: ProblemSpec) -> dict:
@@ -584,12 +586,13 @@ def spec_from_json(obj: dict) -> ProblemSpec:
     domain = (
         Domain.segment(dom["a1"], dom["a2"]) if kind is DomainKind.SEGMENT else Domain.whole_line()
     )
+    whole_line = kind is DomainKind.WHOLE_LINE
     if obj.get("mu_sigma"):
-        ms = MuSigmaPair(_pl_from_json(obj["mu"]), _pl_from_json(obj["sigma"]))
+        ms = MuSigmaPair(_pl_from_json(obj["mu"], whole_line), _pl_from_json(obj["sigma"], whole_line))
         v0, w0 = to_vw(ms)
     else:
-        v0 = _pl_from_json(obj["v0"])
-        w0 = _pl_from_json(obj["w0"])
+        v0 = _pl_from_json(obj["v0"], whole_line)
+        w0 = _pl_from_json(obj["w0"], whole_line)
     return ProblemSpec(domain, v0, w0)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import freezeflow
 from freezeflow.cli import build_parser, main
@@ -127,19 +129,79 @@ def test_trace_bad_step_exit_2(dt):
     assert proc.stderr.count("\n") == 1 and "--dt" in proc.stderr
 
 
+LINE = {"breakpoints": [0.0], "values": [0.0], "left_slope": 1.0, "right_slope": 1.0}
+
+
 @pytest.mark.parametrize(
     "obj",
     [
         {"domain": {"kind": "whole_line"}, "v0": {"breakpoints": 5, "values": [0.0]}, "w0": {"breakpoints": 5, "values": [0.0]}},
         [1, 2, 3],
+        {"domain": {"kind": "whole_line"}, "v0": {**LINE, "left_slope": math.nan}, "w0": LINE},
+        {"domain": {"kind": "whole_line"}, "v0": LINE, "w0": {**LINE, "right_slope": -math.inf}},
+        {"domain": {"kind": "whole_line"}, "v0": LINE, "w0": {"breakpoints": [0.0], "values": [-1.0]}},
     ],
-    ids=["int-breakpoints", "top-level-list"],
+    ids=["int-breakpoints", "top-level-list", "nan-slope", "infinite-slope", "whole-line-without-slopes"],
 )
 def test_malformed_problem_exit_2(tmp_path, capsys, obj):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(obj))
     assert run_cli(["solve", "--problem", str(path), "--grid", "3,3", "--window", "0,1,0,1"]) == 2
     assert "invalid problem file" in capsys.readouterr().err
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.lists(st.integers(-3, 3), max_size=2),
+)
+
+
+@st.composite
+def problem_files(draw):
+    """A well-formed problem (v0 = w0 on [-1, 2], or w0 = v0 - gap on the
+    whole line), then up to three corruptions."""
+    n = draw(st.integers(1, 4))
+    xs = sorted(draw(st.lists(st.floats(-2, 3), min_size=n, max_size=n, unique=True)))
+    ys = draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n))
+    v0 = {"breakpoints": xs, "values": ys}
+    if draw(st.booleans()):
+        domain = {"kind": "whole_line"}
+        v0["left_slope"], v0["right_slope"] = draw(st.floats(-2, 2)), draw(st.floats(-2, 2))
+        gap = draw(st.floats(0, 1))
+    else:
+        domain = {"kind": "segment", "a1": -1.0, "a2": 2.0}
+        gap = 0.0
+    w0 = dict(v0, values=[y - gap for y in ys])
+    obj = {"domain": domain, "v0": v0, "w0": w0}
+    for _ in range(draw(st.integers(0, 3))):
+        how = draw(st.sampled_from(["drop", "junk", "unsorted", "swapped ends", "mu_sigma"]))
+        if how == "unsorted":
+            v0["breakpoints"] = xs[::-1]
+        elif how == "swapped ends":
+            domain["a1"], domain["a2"] = domain.get("a2"), domain.get("a1")
+        elif how == "mu_sigma":
+            obj.update(mu_sigma=True, mu=obj.pop("v0", v0), sigma=obj.pop("w0", w0))
+        else:
+            target = draw(st.sampled_from([obj, domain, v0, w0]))
+            key = draw(st.sampled_from(sorted(target) or ["kind"]))
+            if how == "drop":
+                target.pop(key, None)
+            else:
+                target[key] = draw(JUNK)
+    return obj if draw(st.integers(0, 9)) else draw(JUNK)
+
+
+TINY_SLOPE = {"breakpoints": [0.0], "values": [0.0], "left_slope": 0.0, "right_slope": 2.2e-309}
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(obj=problem_files())
+# a tail crossing beyond the float range used to give the interval (inf, inf)
+@example(obj={"domain": {"kind": "whole_line"}, "v0": TINY_SLOPE, "w0": dict(TINY_SLOPE, values=[-1.0])})
+def test_generated_problem_files_exit_0_or_2(tmp_path, obj):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    assert exit_code(["solve", "--problem", str(path), "--grid", "3,2", "--window=0,1,0,1"]) in (0, 2)
 
 
 @pytest.mark.parametrize("flag, argv", [("--n", ["--n", "1"]), ("--stride", ["--n", "4", "--stride", "0"])])
@@ -196,6 +258,23 @@ def test_boundary_corners_stay_in_segment(tmp_path, grid):
     corners = json.loads(out.read_text())["corners"]
     assert corners
     assert all(0.0 <= c["x"] <= 2.0 and 0.0 <= c["t"] <= 4.0 for c in corners)
+
+
+def test_boundary_segment_corners_do_not_follow_the_grid(tmp_path):
+    # downhill used to report a freeze/thaw corner whose t shrank with the
+    # cell (0.500, 0.295, 0.146) and another one wandering along t ~ 1e-7
+    found = []
+    for n in (24, 40, 80):
+        out = tmp_path / f"downhill{n}.json"
+        argv = ["boundary", "--fixture", "downhill", "--grid", f"{n},{n}", "--window=-1,1,0,5"]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        corners = json.loads(out.read_text())["corners"]
+        assert all(c["t"] >= 0.0 for c in corners)
+        found.append(sorted((c["kind"], c["x"], c["t"]) for c in corners))
+    for corners in found[1:]:
+        assert [c[0] for c in corners] == [c[0] for c in found[0]]
+        for (_, x, t), (_, x0, t0) in zip(corners, found[0]):
+            assert abs(x - x0) <= 1e-6 and abs(t - t0) <= 1e-6
 
 
 def test_readme_cli_examples_parse():

@@ -21,6 +21,7 @@ from freezeflow.fixtures import (
     PARABOLAS_TIP,
     parabolas_freeze_time,
 )
+from freezeflow.geometry import _one_sided_slope
 
 PL = PiecewiseLinear
 
@@ -170,7 +171,16 @@ class TestRampCorner:
         corner = min(bset.corners, key=lambda c: abs(c.x + 2.0) + abs(c.t - 2.0))
         assert corner.kind is CornerKind.THAW_FREEZE
         assert abs(corner.x + 2.0) < 0.02 and abs(corner.t - 2.0) < 0.02
-        sl = corner_slopes(bset, bset.corners.index(corner), slope_tol=0.01)
+        sl = corner_slopes(bset, bset.corners.index(corner))
         assert abs(sl.freezing_slope) <= 0.05
         assert abs(sl.thawing_slope) > 20.0
         assert sl.thawing_unbounded
+
+
+@pytest.mark.parametrize("dtdx", [0.5, -2.0])
+def test_one_sided_slope_skips_a_sample_on_the_corner(dtdx):
+    # a zero-length chord to the corner used to divide 0 by 0
+    pts = [(0.0, 0.0)] + [(k * 0.1, k * 0.1 * dtdx) for k in range(1, 6)]
+    slope, unbounded = _one_sided_slope(pts, (0.0, 0.0))
+    assert math.isfinite(slope) and not unbounded
+    assert abs(slope - dtdx) < 1e-12
