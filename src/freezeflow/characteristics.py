@@ -168,9 +168,9 @@ def _trace(
                     continue
                 cand_x = bound
                 cand_t = cur_t + sgn * part
-            err = abs(ev(cand_x, cand_t) - value)
-            if err <= char_tol:
-                nxt = (cand_x, cand_t)
+            cand_value = ev(cand_x, cand_t)
+            if abs(cand_value - value) <= char_tol:
+                nxt = (cand_x, cand_t, cand_value)
                 if k == 0 and mid_zone is ZoneLabel.BOUNDARY:
                     alt_x = cur_x + sgn * moves[1]
                     if spec.domain.contains(alt_x) and abs(ev(alt_x, cand_t) - value) <= char_tol:
@@ -181,9 +181,9 @@ def _trace(
                 termination = "no value-preserving continuation"
                 break
             raise CharacteristicStepError(cur_x, cur_t, "no subsonic move preserves the value")
-        cur_x, cur_t = nxt
+        cur_x, cur_t, cur_value = nxt
         samples.append((cur_x, cur_t))
-        values.append(ev(cur_x, cur_t))
+        values.append(cur_value)
         zones.append(classify(field_, cur_x, cur_t, eps))
         # segment backward traces may terminate on the emitting boundary
         if not forward and spec.domain.is_segment:

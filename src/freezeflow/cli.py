@@ -44,10 +44,14 @@ class CliError(Exception):
 
 
 def _make_field(spec: ProblemSpec, tol: float) -> SolutionField:
+    """Build the field, printing each validation warning to stderr."""
     try:
-        return SolutionField(spec, tolerance=tol)
+        field = SolutionField(spec, tolerance=tol)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_CONFIG)
+    for message in field.warnings:
+        sys.stderr.write(f"warning: {message}\n")
+    return field
 
 
 def _load_problem(args) -> ProblemSpec:
@@ -319,7 +323,7 @@ def cmd_examples(args) -> int:
     from .fixtures import wedge_v_exact, wedge_w_exact
 
     wedge = get_fixture("wedge")
-    field = SolutionField(wedge.build(), tolerance=1e-10)
+    field = _make_field(wedge.build(), 1e-10)
     xs = np.linspace(-4, 4, 33)
     ts = np.linspace(0, 2, 9)
     V, W = field.eval_grid(xs, ts)
@@ -332,7 +336,7 @@ def cmd_examples(args) -> int:
     lines.append(f"wedge closed form: max error {err:.2e} {'PASS' if ok else 'FAIL'}")
     for name in sorted(FIXTURES):
         fx = FIXTURES[name]
-        f = SolutionField(fx.build(), tolerance=1e-9)
+        f = _make_field(fx.build(), 1e-9)
         x = sum(fx.build().breakpoint_span()) / 2
         v, w = f.eval_pair(x, fx.horizon / 2)
         ok = v >= w - 1e-6

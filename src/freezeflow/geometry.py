@@ -580,10 +580,12 @@ def _steep(dxdt, spread=0.0):
     """dt/dx of a branch from its dx/dt, with an unbounded flag.
 
     A dx/dt within max(SLOPE_TOL, spread / 4) of zero cannot be told from a
-    vertical branch: its slope is capped at 1/SLOPE_TOL and flagged.
+    vertical branch: its slope is capped at 1/SLOPE_TOL and flagged.  The
+    cap keeps the sign of dx/dt only when |dx/dt| exceeds the spread, and is
+    positive otherwise, since a sign below the noise would follow the grid.
     """
     if abs(dxdt) < max(SLOPE_TOL, 0.25 * spread):
-        return (1.0 if dxdt >= 0 else -1.0) / SLOPE_TOL, True
+        return (-1.0 if dxdt < -spread else 1.0) / SLOPE_TOL, True
     return 1.0 / dxdt, False
 
 

@@ -21,8 +21,11 @@ The solution values are recovered by monotone inversion in b:
 For piecewise-linear data everything here is computed exactly: K is
 piecewise constant, its antiderivative G is piecewise linear with slopes in
 {-1, 0, 1}, and survival thresholds are solved segment by segment in closed
-form.  Only the final inversion in b uses bisection, with a user-set
-tolerance.
+form.  Only the final inversion in b is approximate: it returns the
+midpoint of plain bisection's final cell, whose width is set by a user
+tolerance.  Membership probes certify every step of that bisection, while a
+secant on the signed distance to the surviving labels chooses which steps
+need a probe, so a value takes a few probes instead of one per step.
 
 Empty-set convention: if the running integral never goes negative the point
 is never annihilated, so alpha_v returns +inf (alpha_w returns -inf) and the
@@ -209,6 +212,43 @@ class _LevelSlice:
                 out.append((p, cutoff))
         return out
 
+    def residual(self, x0: float, t: float) -> float:
+        """Signed distance from x0 to the labels surviving at t.
+
+        Non-negative on the survivors and negative off them.  The surviving
+        set grows with b, so the residual is non-decreasing in b, and on
+        piecewise-linear data it is piecewise affine in b.  Only the
+        component holding x0 and the nearest components with survivors on
+        either side are read.
+        """
+        comps = self.components
+        i = bisect_right(self.comp_los, x0) - 1
+        left = -INF  # last surviving label at or left of x0
+        for j in range(i, -1, -1):
+            end = _survivor_end(comps[j], t)
+            if end is not None:
+                if j == i and x0 <= end:
+                    return min(x0 - comps[i][0], end - x0)
+                left = end
+                break
+        right = INF  # first surviving label right of x0
+        for j in range(i + 1, len(comps)):
+            if _survivor_end(comps[j], t) is not None:
+                right = comps[j][0]
+                break
+        return -min(x0 - left, right - x0)
+
+
+def _survivor_end(comp, t):
+    """Largest label of one component that survives at t, or None.
+
+    ``survivors`` inlines this rule, as its loop is the hot path of level-set
+    queries."""
+    p, q, pieces, c_end = comp
+    if q == INF or t <= 0.0:
+        return q
+    return _component_cutoff(p, q, pieces, c_end, t)
+
 
 def _component_structure(nodes, kvals, p, q):
     """Alpha pieces for one component [p, q] of the moving set.
@@ -341,11 +381,13 @@ def superlevel_set(spec: ProblemSpec, b: float, t: float) -> IntervalUnion:
 class SolutionField:
     """Query object for v(x,t), w(x,t) and level sets of one problem.
 
-    Values are recovered by bisection in b over the monotone membership
-    predicate; the absolute tolerance is ``tolerance`` scaled by the value
-    range over the query's triangle of determinacy.  The object is immutable
-    and all queries are pure, so concurrent reads are safe; the level-slice
-    cache is a pure memoization keyed by b.
+    Values are bisection's answer in b over the monotone membership
+    predicate, found with few probes (see ``_invert``); the absolute
+    tolerance is ``tolerance`` scaled by the value range over the query's
+    triangle of determinacy.  The object is immutable and all queries are
+    pure, so concurrent reads are safe; the level-slice cache is a pure
+    memoization keyed by b.  ``warnings`` holds the messages of the
+    non-fatal validation issues (flat segments).
 
     The integrand sweep integrates the linear extension tails exactly, so
     far-out whole-line queries are as exact as near ones.
@@ -354,11 +396,13 @@ class SolutionField:
     def __init__(self, spec: ProblemSpec, tolerance: float = 1e-10, strict: bool = True):
         if not (math.isfinite(tolerance) and tolerance > 0):
             raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+        self.warnings: Tuple[str, ...] = ()
         if strict:
             report = validate(spec)
             hard = report.errors()
             if hard:
                 raise ValueError(f"inadmissible problem: {[i.message for i in hard]}")
+            self.warnings = tuple(i.message for i in report.issues if i not in hard)
         self.spec = spec
         self.tolerance = float(tolerance)
         self._cache: dict = {}
@@ -407,11 +451,29 @@ class SolutionField:
         return self._invert(x, t, bracket, True)
 
     def _invert(self, x: float, t: float, bracket: Optional[Tuple[float, float]], reflected: bool) -> float:
-        """Bisect in b over the membership predicate of one side.
+        """Bisection's answer in b over the membership predicate of one side.
 
         The v side probes the sublevel slice at x - t, where membership
         rises with b.  w is v of the mirrored problem, so the w side probes
         the reflected slice at -(x + t), where membership falls with b.
+
+        The answer is the midpoint of the final cell of plain bisection from
+        the padded bracket, under the same step cap; only the way each
+        midpoint's side is learnt differs.  Membership is monotone in b, so
+        the probes so far certify a band (a, z): every level <= a lies below
+        the answer and every level >= z above it (the bracket ends count as
+        certified, as in plain bisection).  A midpoint outside the band is
+        decided without a probe.  Inside it, an estimate of the answer picks
+        the final cell [l, h] it falls in, and probing l and h certifies
+        the whole path down to that cell.  The first estimate is the
+        transport value, exact at liquid points.  Later ones are secants on
+        the probed slices' residuals: through the two latest probes when both
+        moved the same end of the band (a missed cell's ends give the local
+        slope), else false position between a and z.  A step that does not
+        halve the band is followed by one plain bisection probe, and after
+        _MAX_BISECT probes only plain ones are made, so an evaluation never
+        takes more than 2 * _MAX_BISECT + 1 probes.  The residual only
+        steers: a wrong one costs probes, never the answer.
         """
         self._check_point(x, t)
         lo, hi = bracket if bracket is not None else self._bracket(x, t)
@@ -421,25 +483,76 @@ class SolutionField:
         hi += pad
         cache = self._cache
         spec = self.spec
+        xn = self._nudge(x)
         if reflected:
-            x0, side = -(self._nudge(x) + t), _LevelPair.wslice
+            x0, side, sign, guess = -(xn + t), _LevelPair.wslice, -1.0, spec.w0(xn + t)
         else:
-            x0, side = self._nudge(x) - t, _LevelPair.vslice
-        for _ in range(_MAX_BISECT):
-            if hi - lo <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            pair = cache.get(mid)
-            if pair is None:
-                if len(cache) > _CACHE_CAP:
-                    cache.clear()
-                pair = _LevelPair(spec, mid)
-                cache[mid] = pair
-            if side(pair).membership(x0, t) != reflected:
-                hi = mid
+            x0, side, sign, guess = xn - t, _LevelPair.vslice, 1.0, spec.v0(xn - t)
+        a, z = lo, hi
+        probed = []  # [level, slice, residual or None] per probe, latest last
+        ia = iz = -1  # which probes set a and z (-1: still the bracket end)
+        depth = 0
+        plain = False
+
+        def residual(i):
+            if probed[i][2] is None:
+                probed[i][2] = float(sign * probed[i][1].residual(x0, t))
+            return probed[i][2]
+
+        while True:
+            # walk bisection's path as far as the band decides it
+            while depth < _MAX_BISECT and hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                if mid <= a:
+                    lo = mid
+                elif mid >= z:
+                    hi = mid
+                else:
+                    break
+                depth += 1
             else:
-                lo = mid
-        return 0.5 * (lo + hi)
+                return 0.5 * (lo + hi)
+            est = None if probed else guess
+            n = len(probed)
+            if 1 < n < _MAX_BISECT and not plain:
+                # a secant through the two latest probes when both moved the
+                # same end, else through the probes at a and z
+                i, j = (n - 2, n - 1) if ia < n - 2 or iz < n - 2 else (ia, iz)
+                b1, g1, b2, g2 = probed[i][0], residual(i), probed[j][0], residual(j)
+                if math.isfinite(g2 - g1) and (g2 - g1) * (b2 - b1) > 0:
+                    est = b1 - g1 * (b2 - b1) / (g2 - g1)
+            if est is not None and math.isfinite(est):
+                # the rest of the path as the estimate would decide it
+                l, h = lo, hi
+                for _ in range(depth, _MAX_BISECT):
+                    if h - l <= tol:
+                        break
+                    m = 0.5 * (l + h)
+                    if m <= a or (m < z and est > m):
+                        l = m
+                    else:
+                        h = m
+                levels = (l, h)
+            else:
+                est = None
+                levels = (mid,)
+            width = z - a
+            for b in levels:
+                if not a < b < z:
+                    continue
+                pair = cache.get(b)
+                if pair is None:
+                    if len(cache) > _CACHE_CAP:
+                        cache.clear()
+                    pair = _LevelPair(spec, b)
+                    cache[b] = pair
+                sl = side(pair)
+                probed.append([b, sl, None])
+                if sl.membership(x0, t) != reflected:
+                    z, iz = b, len(probed) - 1
+                else:
+                    a, ia = b, len(probed) - 1
+            plain = est is not None and z - a > 0.5 * width
 
     def eval_pair(self, x: float, t: float) -> Tuple[float, float]:
         br = self._bracket(x, t)
@@ -460,9 +573,10 @@ class SolutionField:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Dense evaluation; V[i][j] = v(xs[j], ts[i]), likewise W.
 
-        Uses one shared bisection bracket across the grid so the slice cache
-        is reused; output is identical to pointwise calls up to tolerance and
-        independent of evaluation order.
+        Uses one shared bisection bracket across the grid, so every probe
+        lands on one lattice of midpoints and the slice cache is reused by
+        neighbouring points; output is identical to pointwise calls up to
+        tolerance and independent of evaluation order.
         """
         xs = [float(x) for x in xs]
         ts = [float(t) for t in ts]

@@ -563,7 +563,15 @@ def _pl_to_json(f: PiecewiseLinear) -> dict:
     return out
 
 
+def _reject_booleans(*values):
+    """JSON true and false are not numbers, although float() takes them."""
+    for v in values:
+        if any(isinstance(u, bool) for u in (v if isinstance(v, list) else [v])):
+            raise ValueError(f"expected a number, got {v!r}")
+
+
 def _pl_from_json(obj: dict, whole_line: bool) -> PiecewiseLinear:
+    _reject_booleans(obj["breakpoints"], obj["values"], obj.get("left_slope"), obj.get("right_slope"))
     f = PiecewiseLinear(
         obj["breakpoints"], obj["values"], obj.get("left_slope"), obj.get("right_slope")
     )
@@ -583,6 +591,8 @@ def spec_to_json(spec: ProblemSpec) -> dict:
 def spec_from_json(obj: dict) -> ProblemSpec:
     dom = obj["domain"]
     kind = DomainKind(dom["kind"])
+    if kind is DomainKind.SEGMENT:
+        _reject_booleans(dom["a1"], dom["a2"])
     domain = (
         Domain.segment(dom["a1"], dom["a2"]) if kind is DomainKind.SEGMENT else Domain.whole_line()
     )

@@ -130,6 +130,7 @@ def test_trace_bad_step_exit_2(dt):
 
 
 LINE = {"breakpoints": [0.0], "values": [0.0], "left_slope": 1.0, "right_slope": 1.0}
+SEG = {"breakpoints": [0.0], "values": [0.0]}
 
 
 @pytest.mark.parametrize(
@@ -140,8 +141,14 @@ LINE = {"breakpoints": [0.0], "values": [0.0], "left_slope": 1.0, "right_slope":
         {"domain": {"kind": "whole_line"}, "v0": {**LINE, "left_slope": math.nan}, "w0": LINE},
         {"domain": {"kind": "whole_line"}, "v0": LINE, "w0": {**LINE, "right_slope": -math.inf}},
         {"domain": {"kind": "whole_line"}, "v0": LINE, "w0": {"breakpoints": [0.0], "values": [-1.0]}},
+        {"domain": {"kind": "segment", "a1": True, "a2": 2.0}, "v0": SEG, "w0": SEG},
+        {"domain": {"kind": "segment", "a1": 0.0, "a2": 2.0}, "v0": {**SEG, "values": [False]}, "w0": SEG},
+        {"domain": {"kind": "whole_line"}, "v0": {**LINE, "right_slope": True}, "w0": LINE},
     ],
-    ids=["int-breakpoints", "top-level-list", "nan-slope", "infinite-slope", "whole-line-without-slopes"],
+    ids=[
+        "int-breakpoints", "top-level-list", "nan-slope", "infinite-slope", "whole-line-without-slopes",
+        "boolean-domain-end", "boolean-value", "boolean-slope",
+    ],
 )
 def test_malformed_problem_exit_2(tmp_path, capsys, obj):
     path = tmp_path / "problem.json"
@@ -263,6 +270,8 @@ def test_boundary_corners_stay_in_segment(tmp_path, grid):
 def test_boundary_segment_corners_do_not_follow_the_grid(tmp_path):
     # downhill used to report a freeze/thaw corner whose t shrank with the
     # cell (0.500, 0.295, 0.146) and another one wandering along t ~ 1e-7
+    # and capped thawing slopes whose sign flipped with it (+100 at 24²,
+    # -100 at 80² for the corner at (1, 0))
     found = []
     for n in (24, 40, 80):
         out = tmp_path / f"downhill{n}.json"
@@ -270,11 +279,26 @@ def test_boundary_segment_corners_do_not_follow_the_grid(tmp_path):
         assert run_cli(argv + ["--out", str(out)]) == 0
         corners = json.loads(out.read_text())["corners"]
         assert all(c["t"] >= 0.0 for c in corners)
-        found.append(sorted((c["kind"], c["x"], c["t"]) for c in corners))
+        found.append(sorted(corners, key=lambda c: (c["kind"], c["x"], c["t"])))
     for corners in found[1:]:
-        assert [c[0] for c in corners] == [c[0] for c in found[0]]
-        for (_, x, t), (_, x0, t0) in zip(corners, found[0]):
-            assert abs(x - x0) <= 1e-6 and abs(t - t0) <= 1e-6
+        assert [c["kind"] for c in corners] == [c["kind"] for c in found[0]]
+        for c, c0 in zip(corners, found[0]):
+            for key in ("x", "t", "freezing_slope", "thawing_slope"):
+                assert abs(c[key] - c0[key]) <= 1e-6, (key, c, c0)
+            for key in ("freezing_unbounded", "thawing_unbounded"):
+                assert c[key] == c0[key], (key, c, c0)
+
+
+def test_flat_segment_warns_on_stderr(tmp_path, capsys):
+    # v0 is flat on [1, 2]; validate reports that as a warning, not an error
+    v0 = {"breakpoints": [0.0, 1.0, 2.0], "values": [0.0, 1.0, 1.0], "left_slope": 1.0, "right_slope": 1.0}
+    w0 = {"breakpoints": [0.0], "values": [-5.0], "left_slope": 1.0, "right_slope": 1.0}
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"domain": {"kind": "whole_line"}, "v0": v0, "w0": w0}))
+    out = tmp_path / "grid.csv"
+    assert run_cli(["solve", "--problem", str(path), "--grid", "3,2", "--window=0,3,0,1", "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: v0 flat on [1, 2]"]
 
 
 def test_readme_cli_examples_parse():

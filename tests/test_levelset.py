@@ -287,3 +287,129 @@ class TestEval:
             for x, t in zip(rng.uniform(lo, hi, size=20), rng.uniform(0.0, 3.0, size=20)):
                 assert abs(field.eval_w(x, t) + mirror.eval_v(-x, t)) <= bound, (x, t)
                 assert abs(field.eval_v(x, t) + mirror.eval_w(-x, t)) <= bound, (x, t)
+
+
+def bisection_reference(field, x, t, bracket, reflected):
+    """Plain bisection in b as the inversion loop used to run it: the same
+    padded bracket and step cap, one uncached level pair per probe."""
+    from freezeflow.levelset import _MAX_BISECT, _LevelPair
+
+    lo, hi = bracket if bracket is not None else field._bracket(x, t)
+    tol = field.tolerance * max(1.0, hi - lo)
+    pad = 1e-9 * (1.0 + abs(lo) + abs(hi)) + 4.0 * tol
+    lo -= pad
+    hi += pad
+    if reflected:
+        x0, side = -(field._nudge(x) + t), _LevelPair.wslice
+    else:
+        x0, side = field._nudge(x) - t, _LevelPair.vslice
+    for _ in range(_MAX_BISECT):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if side(_LevelPair(field.spec, mid)).membership(x0, t) != reflected:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _query_points(spec, rng, n=12):
+    """Random (x, t) plus t = 0 and, on a segment, both exact ends."""
+    lo, hi = spec.breakpoint_span()
+    if not spec.domain.is_segment:
+        lo, hi = lo - 1.0, hi + 1.0
+    xs = rng.uniform(lo, hi, size=n)
+    ts = rng.uniform(0.0, 3.0, size=n)
+    pts = [(float(x), float(t)) for x, t in zip(xs, ts)]
+    pts += [(float(x), 0.0) for x in xs[:3]]
+    if spec.domain.is_segment:
+        for t in (0.0, float(ts[0]), float(ts[1])):
+            pts += [(spec.domain.a1, t), (spec.domain.a2, t)]
+    return pts
+
+
+def _mirrored_problem_specs():
+    specs = [get_fixture(name).build() for name in ("wedge", "tent", "seg-tent", "downhill")]
+    rng = np.random.default_rng(41)
+    specs += [random_pl_spec(rng, segment=seg) for seg in (True, False) for _ in range(4)]
+    return specs + [mirrored_spec(s) for s in specs]
+
+
+class TestInversion:
+    """The steered inversion returns plain bisection's value, exactly."""
+
+    def test_criterion_1_grid_equals_bisection(self):
+        field = SolutionField(get_fixture("wedge").build(), tolerance=1e-9)
+        xs = np.linspace(-5.0, 5.0, 201)
+        ts = np.linspace(0.0, 2.0, 101)
+        V, W = field.eval_grid(xs, ts)
+        bracket = field._value_range(-7.0, 7.0)  # eval_grid's shared bracket
+        for i in range(0, 101, 10):
+            for j in range(0, 201, 8):
+                x, t = float(xs[j]), float(ts[i])
+                assert V[i, j] == bisection_reference(field, x, t, bracket, False), (x, t)
+                assert W[i, j] == bisection_reference(field, x, t, bracket, True), (x, t)
+
+    @pytest.mark.parametrize("source", ["mirrored", "random"])
+    def test_values_equal_bisection(self, source):
+        rng = np.random.default_rng(20261018)
+        if source == "mirrored":
+            specs = _mirrored_problem_specs()
+        else:
+            specs = [random_pl_spec(rng, segment=k % 2 == 0) for k in range(12)]
+        for spec in specs:
+            field = SolutionField(spec, tolerance=1e-10)
+            for x, t in _query_points(spec, rng):
+                assert field.eval_v(x, t) == bisection_reference(field, x, t, None, False), (spec, x, t)
+                assert field.eval_w(x, t) == bisection_reference(field, x, t, None, True), (spec, x, t)
+
+    def test_residual_only_steers(self, monkeypatch):
+        # a residual of seeded noise may cost probes, never change a value
+        from freezeflow.levelset import _MAX_BISECT, _LevelSlice
+
+        noise = np.random.default_rng(7)
+        monkeypatch.setattr(_LevelSlice, "residual", lambda self, x0, t: float(noise.normal()))
+        probes = []
+        membership = _LevelSlice.membership
+
+        def counted(self, x0, t):
+            probes[-1] += 1
+            return membership(self, x0, t)
+
+        monkeypatch.setattr(_LevelSlice, "membership", counted)
+        rng = np.random.default_rng(11)
+        specs = [get_fixture("wedge").build(), get_fixture("tent").build()]
+        specs += [random_pl_spec(rng, segment=seg) for seg in (True, False) for _ in range(2)]
+        for spec in specs:
+            field = SolutionField(spec, tolerance=1e-10)
+            for x, t in _query_points(spec, rng, n=8):
+                for reflected in (False, True):
+                    probes.append(0)
+                    value = field._invert(x, t, None, reflected)
+                    assert probes[-1] <= 2 * _MAX_BISECT + 1
+                    assert value == bisection_reference(field, x, t, None, reflected), (spec, x, t)
+
+    def test_criterion_1_grid_probes_per_eval(self, monkeypatch):
+        from freezeflow.levelset import _LevelSlice
+
+        probes = [0]
+        membership = _LevelSlice.membership
+
+        def counted(self, x0, t):
+            probes[0] += 1
+            return membership(self, x0, t)
+
+        monkeypatch.setattr(_LevelSlice, "membership", counted)
+        field = SolutionField(get_fixture("wedge").build(), tolerance=1e-9)
+        V, W = field.eval_grid(np.linspace(-5.0, 5.0, 201), np.linspace(0.0, 2.0, 101))
+        assert probes[0] / (V.size + W.size) <= 6.0  # plain bisection takes 34
+
+    def test_tiny_tolerance_stops_at_the_step_cap(self, wedge_spec):
+        # h - l stops shrinking long before 1e-300; only the cap ends the walk
+        field = SolutionField(wedge_spec, tolerance=1e-300)
+        for x, t, expected in ((4.0, 1.0, 3.0), (1.0, 1.0, 2.0 / 3.0), (0.0, 0.5, 0.5)):
+            value = field.eval_v(x, t)
+            assert abs(value - expected) < 1e-12
+            assert value == bisection_reference(field, x, t, None, False)
+        assert field.eval_w(0.0, 1.0) == bisection_reference(field, 0.0, 1.0, None, True)
