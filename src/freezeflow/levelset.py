@@ -21,11 +21,14 @@ The solution values are recovered by monotone inversion in b:
 For piecewise-linear data everything here is computed exactly: K is
 piecewise constant, its antiderivative G is piecewise linear with slopes in
 {-1, 0, 1}, and survival thresholds are solved segment by segment in closed
-form.  Only the final inversion in b is approximate: it returns the
-midpoint of plain bisection's final cell, whose width is set by a user
-tolerance.  Membership probes certify every step of that bisection, while a
-secant on the signed distance to the surviving labels chooses which steps
-need a probe, so a value takes a few probes instead of one per step.
+form.  Each component keeps its labels up to one front, which waits while
+the component is liquid and retreats while it is frozen; membership is
+containment in the labels behind the fronts.  Only the final inversion
+in b is approximate: it returns the midpoint of plain bisection's final
+cell, whose width is set by a user tolerance.  Membership probes certify
+every step of that bisection, while a secant on the signed distance to the
+surviving labels chooses which steps need a probe, so a value takes a few
+probes instead of one per step.
 
 Empty-set convention: if the running integral never goes negative the point
 is never annihilated, so alpha_v returns +inf (alpha_w returns -inf) and the
@@ -161,8 +164,9 @@ class _LevelSlice:
     For each maximal interval [p, q] of the moving set, survival time as a
     function of the starting point x is t_max(x) = (alpha(x) - x) / 2, a
     decreasing piecewise-linear function of x.  The pieces are computed once
-    by walking the integrand profile to the right of q; queries are then
-    O(log n).  The left-moving superlevel side reuses this via reflection.
+    by walking the integrand profile to the right of q, and every query
+    reads them through ``_front``.  The left-moving superlevel side reuses
+    this via reflection.
     """
 
     __slots__ = ("components", "comp_los")
@@ -176,41 +180,17 @@ class _LevelSlice:
     def membership(self, x0: float, t: float) -> bool:
         """Is the point starting at x0 still alive (untransported label) at t?
 
-        Ties t == t_max use the closed convention of the set formulas; they
-        are a measure-zero family in b except for queries at an exact segment
-        endpoint, which the field evaluator nudges into the interior.
+        Exactly containment in ``survivors(t)``, ties t == t_max included.
         """
         i = bisect_right(self.comp_los, x0) - 1
         if i < 0:
             return False
-        p, q, pieces, c_end = self.components[i]
-        if x0 > q:
-            return False
-        if q == INF or t <= 0.0:
-            return True
-        c = x0 - q
-        if c <= c_end:
-            return True
-        # pieces are (c_hi, c_lo, y_base) with c_hi descending from 0
-        for c_hi, c_lo, y_base in pieces:
-            if c > c_lo:
-                t_max = (y_base + c_hi - c - x0) * 0.5
-                return t <= t_max
-        return False
+        front = _front(self.components[i], t)
+        return front is not None and x0 <= front
 
     def survivors(self, t: float) -> List[Tuple[float, float]]:
-        """Pre-transport surviving sub-intervals [p, x*] per component."""
-        if t <= 0.0:
-            return [(p, q) for (p, q, _, _) in self.components]
-        out = []
-        for p, q, pieces, c_end in self.components:
-            if q == INF:
-                out.append((p, q))
-                continue
-            cutoff = _component_cutoff(p, q, pieces, c_end, t)
-            if cutoff is not None:
-                out.append((p, cutoff))
-        return out
+        """Pre-transport surviving sub-intervals [p, front] per component."""
+        return [(c[0], front) for c in self.components if (front := _front(c, t)) is not None]
 
     def residual(self, x0: float, t: float) -> float:
         """Signed distance from x0 to the labels surviving at t.
@@ -225,29 +205,18 @@ class _LevelSlice:
         i = bisect_right(self.comp_los, x0) - 1
         left = -INF  # last surviving label at or left of x0
         for j in range(i, -1, -1):
-            end = _survivor_end(comps[j], t)
-            if end is not None:
-                if j == i and x0 <= end:
-                    return min(x0 - comps[i][0], end - x0)
-                left = end
+            front = _front(comps[j], t)
+            if front is not None:
+                if j == i and x0 <= front:
+                    return min(x0 - comps[i][0], front - x0)
+                left = front
                 break
         right = INF  # first surviving label right of x0
         for j in range(i + 1, len(comps)):
-            if _survivor_end(comps[j], t) is not None:
+            if _front(comps[j], t) is not None:
                 right = comps[j][0]
                 break
         return -min(x0 - left, right - x0)
-
-
-def _survivor_end(comp, t):
-    """Largest label of one component that survives at t, or None.
-
-    ``survivors`` inlines this rule, as its loop is the hot path of level-set
-    queries."""
-    p, q, pieces, c_end = comp
-    if q == INF or t <= 0.0:
-        return q
-    return _component_cutoff(p, q, pieces, c_end, t)
 
 
 def _component_structure(nodes, kvals, p, q):
@@ -292,32 +261,29 @@ def _component_structure(nodes, kvals, p, q):
     return (p, q, tuple(pieces), mcur)
 
 
-def _component_cutoff(p, q, pieces, c_end, t):
-    """Largest surviving label x* in [p, q] at time t, or None if none."""
-    prev_c_lo = 0.0
-    first = True
+def _front(comp, t):
+    """Largest label of one component that survives at t, or None.
+
+    t_max falls by one per unit of label inside a piece and jumps up between
+    pieces, so the front holds at q while the component is liquid, retreats
+    with t inside a piece, waits at the jumps, and stops at q + c_end.
+    """
+    p, q, pieces, c_end = comp
+    if q == INF or t <= 0.0:
+        return q
     for c_hi, c_lo, y_base in pieces:
-        t_top = (y_base - q - c_hi) * 0.5          # t_max at c = c_hi (x = q + c_hi)
-        t_bot = (y_base + c_hi - q - 2.0 * c_lo) * 0.5  # t_max limit at c = c_lo
-        if first and t <= t_top:
-            return q
-        if not first and t <= t_top:
-            # t falls in the upward jump between the previous piece and this one
-            x_star = q + prev_c_lo
-            return x_star if (p == -INF or x_star >= p) else None
-        if t <= t_bot:
-            c_star = (y_base + c_hi - q) * 0.5 - t
-            x_star = q + c_star
-            return x_star if (p == -INF or x_star >= p) else None
-        prev_c_lo = c_lo
-        first = False
-    # below all pieces only the immortal levels c <= c_end remain
-    if c_end == -INF:
-        return None
-    x_star = q + c_end
-    if p == -INF or x_star >= p:
-        return x_star
-    return None
+        if t <= (y_base - q - c_hi) * 0.5:  # t_max at c = c_hi
+            front = q + c_hi
+            break
+        s = y_base + c_hi - q  # t_max(c) = s / 2 - c inside the piece
+        if t <= (s - 2.0 * c_lo) * 0.5:  # t_max as c -> c_lo
+            front = q + (s * 0.5 - t)
+            break
+    else:
+        if c_end == -INF:
+            return None
+        front = q + c_end
+    return front if front >= p else None
 
 
 class _LevelPair:
@@ -470,10 +436,11 @@ class SolutionField:
         the probed slices' residuals: through the two latest probes when both
         moved the same end of the band (a missed cell's ends give the local
         slope), else false position between a and z.  A step that does not
-        halve the band is followed by one plain bisection probe, and after
-        _MAX_BISECT probes only plain ones are made, so an evaluation never
-        takes more than 2 * _MAX_BISECT + 1 probes.  The residual only
-        steers: a wrong one costs probes, never the answer.
+        halve the band is followed by one plain bisection probe.  Steering
+        stops once the probes so far plus the plain steps still needed to
+        close the band exceed plain bisection's depth by 14, so an
+        evaluation takes at most about 16 probes more than plain bisection.
+        The residual only steers: a wrong one costs probes, never the answer.
         """
         self._check_point(x, t)
         lo, hi = bracket if bracket is not None else self._bracket(x, t)
@@ -481,6 +448,7 @@ class SolutionField:
         pad = 1e-9 * (1.0 + abs(lo) + abs(hi)) + 4.0 * tol
         lo -= pad
         hi += pad
+        budget = min(math.log2((hi - lo) / tol), _MAX_BISECT) + 14  # plain depth + 14
         cache = self._cache
         spec = self.spec
         xn = self._nudge(x)
@@ -514,7 +482,10 @@ class SolutionField:
                 return 0.5 * (lo + hi)
             est = None if probed else guess
             n = len(probed)
-            if 1 < n < _MAX_BISECT and not plain:
+            # the plain steps left never exceed plain depth, so the first 14
+            # probes are always within the budget
+            steer = n <= 14 or n + min(math.log2((z - a) / tol), _MAX_BISECT - depth) <= budget
+            if 1 < n and steer and not plain:
                 # a secant through the two latest probes when both moved the
                 # same end, else through the probes at a and z
                 i, j = (n - 2, n - 1) if ia < n - 2 or iz < n - 2 else (ia, iz)
@@ -552,6 +523,8 @@ class SolutionField:
                     z, iz = b, len(probed) - 1
                 else:
                     a, ia = b, len(probed) - 1
+            if est is not None and a >= l and z <= h:
+                return 0.5 * (l + h)  # the band decides every midpoint down to [l, h]
             plain = est is not None and z - a > 0.5 * width
 
     def eval_pair(self, x: float, t: float) -> Tuple[float, float]:

@@ -5,6 +5,7 @@ import pytest
 
 from freezeflow import (
     Domain,
+    IntervalUnion,
     PiecewiseLinear,
     ProblemSpec,
     SolutionField,
@@ -145,6 +146,35 @@ class TestLevelSets:
                     assert small.intersect(big).symmetric_difference_measure(small) < 1e-9
                 for big, small in zip(sups, sups[1:]):
                     assert small.intersect(big).symmetric_difference_measure(small) < 1e-9
+
+    def test_membership_is_containment_in_survivors(self):
+        # a probe and a set query read the same front, so they agree at
+        # every label, ties on a survivor end included
+        from freezeflow.fixtures import FIXTURES
+        from freezeflow.levelset import _LevelPair
+
+        ramp = _LevelPair(get_fixture("frozen-ramp").build(), 0.5).vslice()
+        assert ramp.survivors(0.1) == [(-INF, 0.4)]
+        assert ramp.membership(0.4, 0.1)  # (0.5 + 0.1 - 0.4) * 0.5 rounds below 0.1
+        rng = np.random.default_rng(8)
+        specs = [get_fixture(name).build() for name in FIXTURES]
+        specs += [random_pl_spec(rng, segment=k % 2 == 0) for k in range(24)]
+        for spec in specs:
+            lo, hi = spec.breakpoint_span()
+            reach = max(abs(lo), abs(hi)) + 2.0  # labels of both slices, reflected ones too
+            w_lo, _ = spec.w0.min_max_on(lo, hi)
+            _, v_hi = spec.v0.min_max_on(lo, hi)
+            for b in rng.uniform(w_lo - 0.5, v_hi + 0.5, size=6):
+                pair = _LevelPair(spec, float(b))
+                for sl in (pair.vslice(), pair.wslice()):
+                    for t in (0.0, *rng.uniform(0.0, 3.0, size=4)):
+                        survivors = sl.survivors(t)
+                        union = IntervalUnion(survivors)
+                        ends = [e for iv in survivors for e in iv if math.isfinite(e)]
+                        xs = [float(x) for x in rng.uniform(-reach, reach, size=20)]
+                        xs += ends + [math.nextafter(e, INF) for e in ends]
+                        for x in xs:
+                            assert sl.membership(x, t) == union.contains(x), (spec, b, t, x)
 
     def test_difference_constant_on_segment(self, tent_spec):
         # annihilation at equal rates: the sub/super measure difference is
@@ -314,6 +344,31 @@ def bisection_reference(field, x, t, bracket, reflected):
     return 0.5 * (lo + hi)
 
 
+def _count_probes(monkeypatch):
+    """Count membership probes into the last entry of the returned list."""
+    from freezeflow.levelset import _LevelSlice
+
+    probes = []
+    membership = _LevelSlice.membership
+
+    def counted(self, x0, t):
+        probes[-1] += 1
+        return membership(self, x0, t)
+
+    monkeypatch.setattr(_LevelSlice, "membership", counted)
+    return probes
+
+
+def _assert_near_plain_depth(field, x, t, reflected, probes):
+    """The steered value is bisection's, from at most 16 probes more."""
+    probes.append(0)
+    value = field._invert(x, t, None, reflected)
+    steered = probes[-1]
+    probes.append(0)
+    assert value == bisection_reference(field, x, t, None, reflected), (field.spec, x, t)
+    assert steered <= probes[-1] + 16, (field.spec, x, t, reflected)
+
+
 def _query_points(spec, rng, n=12):
     """Random (x, t) plus t = 0 and, on a segment, both exact ends."""
     lo, hi = spec.breakpoint_span()
@@ -365,45 +420,40 @@ class TestInversion:
                 assert field.eval_w(x, t) == bisection_reference(field, x, t, None, True), (spec, x, t)
 
     def test_residual_only_steers(self, monkeypatch):
-        # a residual of seeded noise may cost probes, never change a value
-        from freezeflow.levelset import _MAX_BISECT, _LevelSlice
+        # a residual of seeded noise may cost probes, never change a value,
+        # and steering stops in time to stay within 16 probes of bisection
+        from freezeflow.levelset import _LevelSlice
 
         noise = np.random.default_rng(7)
         monkeypatch.setattr(_LevelSlice, "residual", lambda self, x0, t: float(noise.normal()))
-        probes = []
-        membership = _LevelSlice.membership
-
-        def counted(self, x0, t):
-            probes[-1] += 1
-            return membership(self, x0, t)
-
-        monkeypatch.setattr(_LevelSlice, "membership", counted)
+        probes = _count_probes(monkeypatch)
         rng = np.random.default_rng(11)
         specs = [get_fixture("wedge").build(), get_fixture("tent").build()]
         specs += [random_pl_spec(rng, segment=seg) for seg in (True, False) for _ in range(2)]
         for spec in specs:
             field = SolutionField(spec, tolerance=1e-10)
-            for x, t in _query_points(spec, rng, n=8):
+            points = _query_points(spec, rng, n=8)
+            if spec is specs[1]:
+                points.append((2.0, 0.5))  # tent's right end, where the residual is flat in b
+            for x, t in points:
                 for reflected in (False, True):
-                    probes.append(0)
-                    value = field._invert(x, t, None, reflected)
-                    assert probes[-1] <= 2 * _MAX_BISECT + 1
-                    assert value == bisection_reference(field, x, t, None, reflected), (spec, x, t)
+                    _assert_near_plain_depth(field, x, t, reflected, probes)
+
+    @pytest.mark.parametrize("name, x", [("tent", 2.0), ("seg-tent", 1.0)])
+    def test_segment_end_stays_near_plain_depth(self, monkeypatch, name, x):
+        # at an exact segment end the residual is flat in b, so false position
+        # keeps missing the cell and only the steering budget bounds the probes
+        probes = _count_probes(monkeypatch)
+        field = SolutionField(get_fixture(name).build(), tolerance=1e-10)
+        for reflected in (False, True):
+            _assert_near_plain_depth(field, x, 0.5, reflected, probes)
 
     def test_criterion_1_grid_probes_per_eval(self, monkeypatch):
-        from freezeflow.levelset import _LevelSlice
-
-        probes = [0]
-        membership = _LevelSlice.membership
-
-        def counted(self, x0, t):
-            probes[0] += 1
-            return membership(self, x0, t)
-
-        monkeypatch.setattr(_LevelSlice, "membership", counted)
+        probes = _count_probes(monkeypatch)
+        probes.append(0)
         field = SolutionField(get_fixture("wedge").build(), tolerance=1e-9)
         V, W = field.eval_grid(np.linspace(-5.0, 5.0, 201), np.linspace(0.0, 2.0, 101))
-        assert probes[0] / (V.size + W.size) <= 6.0  # plain bisection takes 34
+        assert probes[-1] / (V.size + W.size) <= 6.0  # plain bisection takes 34
 
     def test_tiny_tolerance_stops_at_the_step_cap(self, wedge_spec):
         # h - l stops shrinking long before 1e-300; only the cap ends the walk
