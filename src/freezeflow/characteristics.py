@@ -1,17 +1,20 @@
 """Characteristic tracing and liquid/frozen zone classification.
 
 Characteristics of v move with slope 1 in the liquid zone (v > w) and slope
-0 in the frozen zone (v = w); w mirrors with slope -1.  Tracing here is
-diagnostic and step-based: the solver's correctness never depends on it.
-Each step picks the move indicated by the zone at the step midpoint, then
-verifies that the traced field value is preserved within tolerance, falling
-back to the other subsonic move before reporting failure.
+0 in the frozen zone (v = w); w mirrors with slope -1.  v is constant along
+them, so the one carrying b = v(x, t) is the path of one end of its
+component of A(v, b, s): p + s for a left end, front(s) + s for a right
+end, which stands still while the front retreats.  A trace inverts once for
+b, follows the end nearest the start on the level slices a solver tolerance
+below and above b, and samples it every dt with one field evaluation each.
+Tracing is diagnostic: the solver's correctness never depends on it.
 
-At boundary-labelled points the backward tracer prefers the frozen move and
-the forward tracer the liquid move, matching freeze-then-thaw transitions.
-Forward traces terminate early, with a recorded reason, at points admitting
-no value-preserving continuation (for example thawing-corner annihilation
-points); such points are flagged rather than raised.
+A sample whose value leaves lam*dt + zone_epsilon of b makes a backward
+trace raise CharacteristicStepError and ends a forward trace, as does the
+death of the component (for example at thawing-corner annihilation points).
+Backward traces end at t = 0 or where the path meets the emitting boundary
+of a segment (a1 for v, a2 for w).  Zones come from the path: frozen where
+it stands still just after a sample, liquid where it moves.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .levelset import SolutionField
+from .levelset import SolutionField, _LevelPair, end_path
+
+MAX_SAMPLES = 10**6  # samples one trace may take: 1000x the default step count
 
 
 class ZoneLabel(Enum):
@@ -38,7 +43,7 @@ class CurveKind(Enum):
 
 
 class CharacteristicStepError(RuntimeError):
-    """No subsonic move preserved the traced value within tolerance."""
+    """The traced path stopped preserving the value within tolerance."""
 
     def __init__(self, x: float, t: float, detail: str):
         super().__init__(f"characteristic step failure at (x={x:g}, t={t:g}): {detail}")
@@ -112,6 +117,14 @@ def classify(
     return ZoneLabel.BOUNDARY
 
 
+def check_step(dt: float, span: float):
+    """Raise ValueError unless dt is finite and positive and covers span in at most MAX_SAMPLES steps."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if span / dt > MAX_SAMPLES:
+        raise ValueError(f"dt={dt!r} needs more than {MAX_SAMPLES} samples over a span of {span!r}")
+
+
 def _trace(
     field_: SolutionField,
     x: float,
@@ -121,78 +134,64 @@ def _trace(
     kind: CurveKind,
     forward: bool,
 ) -> Curve:
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    check_step(dt, (t_end - t) if forward else (t - t_end))
     spec = field_.spec
-    lam = spec.lipschitz
+    dom = spec.domain
     eps = field_.zone_epsilon()  # 10x the scaled solver tolerance
-    char_tol = lam * dt + eps
-    ev = field_.eval_v if kind is CurveKind.V_CHAR else field_.eval_w
-    liquid_dx = 1.0 if kind is CurveKind.V_CHAR else -1.0  # slope dx/dt in the liquid zone
+    char_tol = spec.lipschitz * dt + eps
+    v_char = kind is CurveKind.V_CHAR
+    ev = field_.eval_v if v_char else field_.eval_w
     value = ev(x, t)
     zone0 = classify(field_, x, t, eps)
-    samples = [(x, t)]
-    values = [value]
-    zones = [zone0]
-    flags: List[Tuple[float, float, str]] = []
+    flags = [(x, t, "boundary start")] if zone0 is ZoneLabel.BOUNDARY else []
+    # w is v of the mirrored problem, on the reflected slices at the label
+    # _invert probes.  At a local extremum of the profile only one side of
+    # the value has an end near x, so the slices on both sides are searched.
+    sign = 1.0 if v_char else -1.0
+    side = _LevelPair.vslice if v_char else _LevelPair.wslice
+    tau = 0.1 * eps  # one scaled solver tolerance, about the final bisection cell
+    path = end_path([side(_LevelPair(spec, value + d)) for d in (-tau, tau)], sign * field_._nudge(x) - t, t)
+    # backward traces on a segment end where the path meets the emitting feeder
+    feeder = sign * (dom.a1 if v_char else dom.a2) if dom.is_segment and not forward else None
+    h = 1e-6 * dt  # "just after" a sample, for its zone
+    samples, values, zones = [(x, t)], [value], [zone0]
     termination = None
-    if zone0 is ZoneLabel.BOUNDARY:
-        flags.append((x, t, "boundary start"))
-    cur_x, cur_t = x, t
+    cur_t = t
     sgn = 1.0 if forward else -1.0
     while True:
         remaining = (t_end - cur_t) if forward else (cur_t - t_end)
         # sub-epsilon remainders are accumulated float dust; a micro-step
         # would have a meaningless dx/dt ratio
         if remaining <= max(1e-9 * dt, 1e-14 * (abs(cur_t) + 1.0)):
-            termination = termination or ("reached horizon" if forward else "reached t=0")
+            termination = "reached horizon" if forward else "reached t=0"
             break
-        step = min(dt, remaining)
-        mid_t = cur_t + sgn * step / 2.0
-        mid_zone = classify(field_, cur_x, mid_t, eps)
-        if mid_zone is ZoneLabel.BOUNDARY:
-            # freeze-then-thaw: frozen going down, liquid going up
-            prefer_liquid = forward
-        else:
-            prefer_liquid = mid_zone is ZoneLabel.LIQUID
-        moves = [liquid_dx * step, 0.0] if prefer_liquid else [0.0, liquid_dx * step]
-        nxt = None
-        for k, mv in enumerate(moves):
-            cand_x = cur_x + sgn * mv
-            cand_t = cur_t + sgn * step
-            if spec.domain.is_segment and not (spec.domain.a1 <= cand_x <= spec.domain.a2):
-                # shorten the move so it lands exactly on the boundary
-                bound = spec.domain.a1 if cand_x < spec.domain.a1 else spec.domain.a2
-                part = abs(bound - cur_x)
-                if part <= 1e-15:
-                    continue
-                cand_x = bound
-                cand_t = cur_t + sgn * part
-            cand_value = ev(cand_x, cand_t)
-            if abs(cand_value - value) <= char_tol:
-                nxt = (cand_x, cand_t, cand_value)
-                if k == 0 and mid_zone is ZoneLabel.BOUNDARY:
-                    alt_x = cur_x + sgn * moves[1]
-                    if spec.domain.contains(alt_x) and abs(ev(alt_x, cand_t) - value) <= char_tol:
-                        flags.append((cur_x, cur_t, "ambiguous continuation"))
-                break
-        if nxt is None:
+        prev_t, cur_t = cur_t, cur_t + sgn * min(dt, remaining)
+        r = path(cur_t)
+        # a rounding step short of the feeder counts as on it
+        at_feeder = feeder is not None and r is not None and r <= feeder + 1e-12
+        if at_feeder:
+            lo, hi = cur_t, prev_t  # the latest time on the feeder lies in between
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                if path(mid) <= feeder + 1e-12:
+                    lo = mid
+                else:
+                    hi = mid
+            cur_t, r = lo, feeder
+        if r is not None:
+            cur_x = sign * r
+            cur_value = ev(cur_x, cur_t)
+        if r is None or abs(cur_value - value) > char_tol:
             if forward:
                 termination = "no value-preserving continuation"
                 break
-            raise CharacteristicStepError(cur_x, cur_t, "no subsonic move preserves the value")
-        cur_x, cur_t, cur_value = nxt
+            raise CharacteristicStepError(*samples[-1], "the path below does not preserve the value")
+        after = path(cur_t + h)
         samples.append((cur_x, cur_t))
         values.append(cur_value)
-        zones.append(classify(field_, cur_x, cur_t, eps))
-        # segment backward traces may terminate on the emitting boundary
-        if not forward and spec.domain.is_segment:
-            if kind is CurveKind.V_CHAR and cur_x <= spec.domain.a1 + 1e-12:
-                termination = "left boundary"
-                break
-            if kind is CurveKind.W_CHAR and cur_x >= spec.domain.a2 - 1e-12:
-                termination = "right boundary"
-                break
+        zones.append(ZoneLabel.LIQUID if after is not None and after - r > 0.5 * h else ZoneLabel.FROZEN)
+        if at_feeder:
+            termination = "left boundary" if v_char else "right boundary"
+            break
     if not forward:
         samples.reverse()
         values.reverse()

@@ -221,8 +221,11 @@ def cmd_trace(args) -> int:
     }[(args.kind, args.direction)]
     kwargs = {}
     if args.dt is not None:
-        if not (math.isfinite(args.dt) and args.dt > 0):
-            raise CliError(f"--dt must be finite and positive, got {args.dt!r}", EXIT_BAD_CONFIG)
+        span = args.t if backward else (args.t + 1.0 if args.t_end is None else args.t_end) - args.t
+        try:
+            chars.check_step(args.dt, span)
+        except ValueError as exc:
+            raise CliError(f"--dt: {exc}", EXIT_BAD_CONFIG)
         kwargs["dt"] = args.dt
     if args.direction == "forward" and args.t_end is not None:
         kwargs["t_end"] = args.t_end

@@ -286,6 +286,36 @@ def _front(comp, t):
     return front if front >= p else None
 
 
+def end_path(slices, x0: float, t: float):
+    """The path of the finite component end nearest x0 among those that
+    survive at t on any of ``slices``: r(s) = end + s, the end's transported
+    position at time s, or None once its component has died.
+
+    A left end p moves at unit speed.  A right end rides the front, which
+    waits while the component is liquid and retreats one label per unit
+    time while it is frozen, so there r stands still.  With no finite end
+    surviving at t (empty slices, or one component that spans the line, as
+    on constant data) the path is the label x0 itself, x0 + s.
+    """
+    nearest, chosen = INF, None
+    for sl in slices:
+        for comp in sl.components:
+            front = _front(comp, t)
+            if front is not None:
+                for end, left in ((comp[0], True), (front, False)):
+                    if abs(end - x0) < nearest:
+                        nearest, chosen = abs(end - x0), (comp, left)
+    if chosen is None:
+        return lambda s: x0 + s
+    comp, left = chosen
+
+    def r(s):
+        front = _front(comp, s)
+        return None if front is None else (comp[0] if left else front) + s
+
+    return r
+
+
 class _LevelPair:
     """Both survival slices at one level b, sharing the integrand regions.
 
@@ -389,8 +419,10 @@ class SolutionField:
         return self._value_range(lo_x, hi_x)
 
     def _check_point(self, x: float, t: float):
-        if t < 0:
-            raise ValueError("t must be nonnegative")
+        if not 0.0 <= t < INF:  # false for nan too
+            raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+        if not -INF < x < INF:
+            raise ValueError(f"query x={x!r} is not finite")
         if not self.spec.domain.contains(x):
             raise ValueError(f"query x={x:g} outside the domain")
 

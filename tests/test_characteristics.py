@@ -10,6 +10,7 @@ from freezeflow import (
     SolutionField,
     ZoneLabel,
     classify,
+    get_fixture,
     trace_backward_v,
     trace_backward_w,
     trace_forward_v,
@@ -146,3 +147,69 @@ def test_tracers_require_finite_positive_step(wedge_field, tracer, dt):
     # dt = 0 used to loop forever; tests/test_cli.py runs it in a subprocess
     with pytest.raises(ValueError, match="dt must be finite and positive"):
         tracer(wedge_field, 1.0, 1.0, dt=dt)
+
+
+class TestExactPath:
+    """Traces follow the level-set end exactly, kinks included."""
+
+    def test_vertical_then_sloped_exactly(self, wedge_field):
+        # value 2/3: slope 1 from (2/3, 0) to the freezing line at (1, 1/3),
+        # then vertical
+        c = trace_backward_v(wedge_field, 1.0, 1.0)
+        assert c.termination == "reached t=0"
+        assert all(abs(x - min(2.0 / 3.0 + t, 1.0)) <= 1e-9 for x, t in c.samples)
+
+    def test_left_end(self, wedge_field):
+        # value 1.6, carried by the left end of the sublevel set [-1.6, 1.6]
+        c = trace_backward_v(wedge_field, 0.2, 1.8)
+        assert all(abs(x - (-1.6 + t)) <= 1e-9 for x, t in c.samples)
+
+    @pytest.mark.parametrize("fixture, x, t", [("wedge", 1.0, 1.0), ("wedge", 0.2, 1.8), ("tent", 0.2, 0.6)])
+    def test_w_is_the_mirrored_v(self, fixture, x, t):
+        from test_levelset import mirrored_spec
+
+        spec = get_fixture(fixture).build()
+        cv = trace_backward_v(SolutionField(spec, tolerance=1e-12), x, t)
+        cw = trace_backward_w(SolutionField(mirrored_spec(spec), tolerance=1e-12), -x, t)
+        assert len(cw.samples) == len(cv.samples)
+        for (xv, tv), (xw, tw) in zip(cv.samples, cw.samples):
+            assert abs(xw + xv) <= 1e-9 and abs(tw - tv) <= 1e-9
+        assert max(abs(a + b) for a, b in zip(cv.values, cw.values)) <= 1e-9
+        assert cw.zones == cv.zones
+        mirrored = {"left boundary": "right boundary", "reached t=0": "reached t=0"}
+        assert cw.termination == mirrored[cv.termination]
+
+    @pytest.mark.parametrize(
+        "fixture, tracer, x, t, slope",
+        [("ramp", trace_backward_w, -1.0, 1.0, -1.0), ("tent", trace_backward_v, 1.2, 0.2, 1.0)],
+    )
+    def test_local_extremum(self, fixture, tracer, x, t, slope):
+        # the minimum of w0 (maximum of v0) carried at unit speed: on one
+        # side of the value x is deep inside the level set, with no end near
+        c = tracer(SolutionField(get_fixture(fixture).build()), x, t)
+        assert c.termination == "reached t=0"
+        assert all(abs(xs - (x - slope * (t - ts))) <= 1e-6 for xs, ts in c.samples)
+
+    @pytest.mark.parametrize(
+        "x, t, dt",
+        [
+            (0.7596940422380261, 0.6932283983354456, 0.0346614),
+            # this path stops a rounding step short of a2 and must end there
+            # rather than run up the boundary, where the value changes
+            (0.7578638174530101, 1.0390436733264594, 0.051952183666322975),
+        ],
+    )
+    def test_segment_trace_ends_on_the_feeder(self, x, t, dt):
+        field = SolutionField(get_fixture("seg-tent").build())
+        c = trace_backward_w(field, x, t, dt=dt)
+        assert c.termination == "right boundary"
+        assert c.samples[0][0] == 1.0
+        tol = field.spec.lipschitz * dt + field.zone_epsilon()
+        assert max(abs(v - c.values[-1]) for v in c.values) <= tol
+
+
+@pytest.mark.parametrize("tracer", [trace_backward_v, trace_backward_w, trace_forward_v, trace_forward_w])
+def test_tracers_bound_their_samples(wedge_field, tracer):
+    # 1e12 steps used to run for hours; the exact path would run out of memory
+    with pytest.raises(ValueError, match="samples"):
+        tracer(wedge_field, 1.0, 1.0, dt=1e-12)

@@ -92,7 +92,7 @@ STABLE_OUTPUTS = [
     ("solve --fixture frozen-ramp --grid 41,21", "eb44e34ae30fc008acef96ca0e08182d609614792de368111427f4e9e8b40ef2"),
     ("solve --fixture uniform-gap --grid 41,21", "19861a2c35a25a7754e31e8f58f513248b99a1ba9f708258c55067c525777bb7"),
     ("solve --fixture thawline --grid 41,21", "1f07788e8954c3a0ffe9ebf979df8391745bd2f9380ff5c26d5c6261d2e4aded"),
-    ("trace --fixture wedge --kind v --direction backward --x 4 --t 1", "5dd5bd19f9d83ceb26b9acd5288a5260b8e25993991bfeacd619bca8425bab2b"),
+    ("trace --fixture wedge --kind v --direction backward --x 4 --t 1", "53f3c7d87da03dcf949f2bed94cd31b9577b553b136aa3b6bf30463446ffcb69"),
     ("oracle --fixture tent --levels 20 --seed 1", "3a0abb50993e83be809ecd8914609c7e2321c3266fe4d667d94d83f7af42ed84"),
 ]
 
@@ -154,6 +154,32 @@ def test_trace_bad_step_exit_2(dt):
     )
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and "--dt" in proc.stderr
+
+
+# 0, negative, tiny, huge and non-finite values; any two finite ones give
+# either at most a few thousand samples or more than the bound
+TRACE_NUMBERS = st.sampled_from(["0", "-1", "0.5", "2", "1e300", "-1e300", "1e-300", "nan", "inf", "-inf"])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    fixture=st.sampled_from(["wedge", "seg-tent"]),
+    kind=st.sampled_from(["v", "w"]),
+    direction=st.sampled_from(["backward", "forward"]),
+    numbers=st.fixed_dictionaries(
+        {"--x": TRACE_NUMBERS, "--t": TRACE_NUMBERS},
+        optional={"--t-end": TRACE_NUMBERS, "--dt": TRACE_NUMBERS},
+    ),
+)
+def test_generated_trace_arguments_exit_cleanly(fixture, kind, direction, numbers):
+    env = dict(os.environ, PYTHONPATH=str(Path(freezeflow.__file__).parents[1]))
+    argv = ["trace", "--fixture", fixture, "--kind", kind, "--direction", direction]
+    argv += [f"{flag}={value}" for flag, value in numbers.items()]
+    proc = subprocess.run(
+        [sys.executable, "-m", "freezeflow.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode in (0, 2, 3, 4), proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
 
 
 LINE = {"breakpoints": [0.0], "values": [0.0], "left_slope": 1.0, "right_slope": 1.0}
@@ -284,6 +310,10 @@ TRACE_V = ["trace", "--fixture", "wedge", "--kind", "v", "--x", "1"]
         ["solve", "--fixture", "wedge", "--seed", "1"],
         ["boundary", "--fixture", "wedge", "--window=0,1,0,1", "--seed", "1"],
         TRACE_V + ["--direction", "backward", "--t", "1", "--seed", "1"],
+        # more samples than a trace may take: these used to run for hours
+        TRACE_V + ["--direction", "backward", "--t", "1", "--dt", "1e-12"],
+        TRACE_V + ["--direction", "backward", "--t", "1e300", "--dt", "1"],
+        TRACE_V + ["--direction", "forward", "--t", "0", "--t-end", "1e300", "--dt", "1"],
         ["oracle", "--fixture", "tent", "--tol", "-1"],
     ],
     ids=lambda argv: " ".join(argv),

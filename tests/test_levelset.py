@@ -249,6 +249,14 @@ class TestEval:
         with pytest.raises(ValueError):
             tent_field.eval_v(1.0, -0.5)
 
+    def test_non_finite_query_rejected(self, wedge_field):
+        # the whole line contains every x, so these used to return nan or
+        # fail with IndexError inside the inversion
+        for ev in (wedge_field.eval_v, wedge_field.eval_w):
+            for x, t in ((math.inf, 0.1), (0.0, math.inf), (math.nan, 0.1), (0.0, math.nan)):
+                with pytest.raises(ValueError, match="finite"):
+                    ev(x, t)
+
     def test_instant_thaw_degenerate(self):
         # v0 = w0 = -x strictly decreasing: sets pass through each other
         f = PL([0.0], [0.0], -1.0, -1.0)
