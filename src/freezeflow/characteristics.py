@@ -2,12 +2,13 @@
 
 Characteristics of v move with slope 1 in the liquid zone (v > w) and slope
 0 in the frozen zone (v = w); w mirrors with slope -1.  v is constant along
-them, so the one carrying b = v(x, t) is the path of one end of its
-component of A(v, b, s): p + s for a left end, front(s) + s for a right
-end, which stands still while the front retreats.  A trace inverts once for
-b, follows the end nearest the start on the level slices a solver tolerance
-below and above b, and samples it every dt with one field evaluation each.
-Tracing is diagnostic: the solver's correctness never depends on it.
+them, so the one carrying b = v(x, t) is read off the level sets of b: a
+trace inverts once for b and holds its label x - t between the level slices
+one bisection cell below and above b, riding their component ends (p + s
+for a left end, front(s) + s for a right end, still while the front
+retreats) and, inside a flat stretch of the data, moving at unit speed
+until an end passes it.  The path is sampled every dt with one field
+evaluation each.  Tracing is diagnostic: the solver never depends on it.
 
 A sample whose value leaves lam*dt + zone_epsilon of b makes a backward
 trace raise CharacteristicStepError and ends a forward trace, as does the
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .levelset import SolutionField, _LevelPair, end_path
+from .levelset import SolutionField, _LevelPair, band_path
 
 MAX_SAMPLES = 10**6  # samples one trace may take: 1000x the default step count
 
@@ -117,12 +118,16 @@ def classify(
     return ZoneLabel.BOUNDARY
 
 
+class StepError(ValueError):
+    """The time step is not finite and positive, or takes too many samples."""
+
+
 def check_step(dt: float, span: float):
-    """Raise ValueError unless dt is finite and positive and covers span in at most MAX_SAMPLES steps."""
+    """Raise StepError unless dt is finite and positive and covers span in at most MAX_SAMPLES steps."""
     if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    if span / dt > MAX_SAMPLES:
-        raise ValueError(f"dt={dt!r} needs more than {MAX_SAMPLES} samples over a span of {span!r}")
+        raise StepError(f"dt must be finite and positive, got {dt!r}")
+    if not span / dt <= MAX_SAMPLES:  # true for a nan span too
+        raise StepError(f"dt={dt!r} needs more than {MAX_SAMPLES} samples over a span of {span!r}")
 
 
 def _trace(
@@ -144,20 +149,19 @@ def _trace(
     value = ev(x, t)
     zone0 = classify(field_, x, t, eps)
     flags = [(x, t, "boundary start")] if zone0 is ZoneLabel.BOUNDARY else []
-    # w is v of the mirrored problem, on the reflected slices at the label
-    # _invert probes.  At a local extremum of the profile only one side of
-    # the value has an end near x, so the slices on both sides are searched.
-    sign = 1.0 if v_char else -1.0
-    side = _LevelPair.vslice if v_char else _LevelPair.wslice
-    tau = 0.1 * eps  # one scaled solver tolerance, about the final bisection cell
-    path = end_path([side(_LevelPair(spec, value + d)) for d in (-tau, tau)], sign * field_._nudge(x) - t, t)
+    # slices one final bisection cell of ev(x, t) below and above the value,
+    # so the exact value lies between them; w is v of the mirrored problem,
+    # whose slice below the value holds the label
+    b_lo, b_hi = field_._bracket(x, t)
+    tau = field_.tolerance * max(1.0, b_hi - b_lo)
+    below, above = _LevelPair(spec, value - tau), _LevelPair(spec, value + tau)
+    sign, outer, inner = (1.0, above.vslice(), below.vslice()) if v_char else (-1.0, below.wslice(), above.wslice())
+    path = band_path(outer, inner, sign * field_._nudge(x) - t, t)
     # backward traces on a segment end where the path meets the emitting feeder
     feeder = sign * (dom.a1 if v_char else dom.a2) if dom.is_segment and not forward else None
     h = 1e-6 * dt  # "just after" a sample, for its zone
     samples, values, zones = [(x, t)], [value], [zone0]
-    termination = None
-    cur_t = t
-    sgn = 1.0 if forward else -1.0
+    cur_t, sgn = t, (1.0 if forward else -1.0)
     while True:
         remaining = (t_end - cur_t) if forward else (cur_t - t_end)
         # sub-epsilon remainders are accumulated float dust; a micro-step
@@ -172,10 +176,7 @@ def _trace(
         if at_feeder:
             lo, hi = cur_t, prev_t  # the latest time on the feeder lies in between
             while lo < (mid := 0.5 * (lo + hi)) < hi:
-                if path(mid) <= feeder + 1e-12:
-                    lo = mid
-                else:
-                    hi = mid
+                lo, hi = (mid, hi) if path(mid) <= feeder + 1e-12 else (lo, mid)
             cur_t, r = lo, feeder
         if r is not None:
             cur_x = sign * r
@@ -193,9 +194,8 @@ def _trace(
             termination = "left boundary" if v_char else "right boundary"
             break
     if not forward:
-        samples.reverse()
-        values.reverse()
-        zones.reverse()
+        for seq in (samples, values, zones):
+            seq.reverse()
     return Curve(kind, samples, values, zones, termination, flags)
 
 

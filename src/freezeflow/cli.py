@@ -221,11 +221,6 @@ def cmd_trace(args) -> int:
     }[(args.kind, args.direction)]
     kwargs = {}
     if args.dt is not None:
-        span = args.t if backward else (args.t + 1.0 if args.t_end is None else args.t_end) - args.t
-        try:
-            chars.check_step(args.dt, span)
-        except ValueError as exc:
-            raise CliError(f"--dt: {exc}", EXIT_BAD_CONFIG)
         kwargs["dt"] = args.dt
     if args.direction == "forward" and args.t_end is not None:
         kwargs["t_end"] = args.t_end
@@ -233,6 +228,8 @@ def cmd_trace(args) -> int:
         curve = tracer(field, args.x, args.t, **kwargs)
     except chars.CharacteristicStepError as exc:
         raise CliError(str(exc), EXIT_RUNTIME)
+    except chars.StepError as exc:
+        raise CliError(f"--dt: {exc}", EXIT_BAD_CONFIG)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_DOMAIN)
     rows = [

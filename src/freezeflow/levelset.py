@@ -286,32 +286,51 @@ def _front(comp, t):
     return front if front >= p else None
 
 
-def end_path(slices, x0: float, t: float):
-    """The path of the finite component end nearest x0 among those that
-    survive at t on any of ``slices``: r(s) = end + s, the end's transported
-    position at time s, or None once its component has died.
+def band_path(outer: "_LevelSlice", inner: "_LevelSlice", x0: float, t: float):
+    """The path of label x0 through the band between two nested slices.
 
-    A left end p moves at unit speed.  A right end rides the front, which
-    waits while the component is liquid and retreats one label per unit
-    time while it is frozen, so there r stands still.  With no finite end
-    surviving at t (empty slices, or one component that spans the line, as
-    on constant data) the path is the label x0 itself, x0 + s.
+    ``outer`` is the slice that holds x0 at t and ``inner`` the one inside
+    it that does not, so at t every label between the surviving ends of
+    the two around x0 carries a value between their levels.  The path is
+    the label itself held inside that band: r(s) = clamp(x0, lo(s), hi(s))
+    + s, where lo is the larger of the outer component's left end and the
+    nearest inner front at or left of x0, and hi the smaller of the outer
+    front and the nearest inner left end right of x0, both among the
+    components that survive at s.  r is None once the outer component has
+    died.
+
+    Where the band is one tolerance wide the path rides its ends: a left
+    end moves at unit speed, and a front waits while its component is
+    liquid and retreats one label per unit time while it is frozen, so
+    there r stands still.  Inside a flat stretch of the data, where the
+    band is wide, the label moves at unit speed until an end passes it.
     """
-    nearest, chosen = INF, None
-    for sl in slices:
-        for comp in sl.components:
-            front = _front(comp, t)
-            if front is not None:
-                for end, left in ((comp[0], True), (front, False)):
-                    if abs(end - x0) < nearest:
-                        nearest, chosen = abs(end - x0), (comp, left)
-    if chosen is None:
-        return lambda s: x0 + s
-    comp, left = chosen
+    i = bisect_right(outer.comp_los, x0) - 1
+    comp = outer.components[i] if outer.membership(x0, t) else None  # None: only inner bounds x0
+    p = comp[0] if comp is not None else -INF
+    comps = inner.components
+    j = bisect_right(inner.comp_los, x0) - 1
 
     def r(s):
-        front = _front(comp, s)
-        return None if front is None else (comp[0] if left else front) + s
+        lo, hi = p, INF
+        if comp is not None:
+            hi = _front(comp, s)
+            if hi is None:
+                return None
+        for k in range(j, -1, -1):
+            if comps[k][1] <= lo:
+                break
+            front = _front(comps[k], s)
+            if front is not None:
+                lo = max(lo, front)
+                break
+        for k in range(j + 1, len(comps)):
+            if comps[k][0] >= hi:
+                break
+            if _front(comps[k], s) is not None:
+                hi = comps[k][0]
+                break
+        return min(max(x0, lo), hi) + s
 
     return r
 

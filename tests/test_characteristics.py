@@ -190,6 +190,29 @@ class TestExactPath:
         assert c.termination == "reached t=0"
         assert all(abs(xs - (x - slope * (t - ts))) <= 1e-6 for xs, ts in c.samples)
 
+    @pytest.mark.parametrize("x", [1.7, 2.0, 2.3])
+    def test_flat_stretch_follows_the_label(self, x):
+        # v0 = 1 on [1, 2] and w0 = x - 5: all liquid, so a value-1
+        # characteristic is its label moving at unit speed; no end of the
+        # level set lies near the label, and jumping to one broke slope <= 1
+        spec = ProblemSpec(Domain.whole_line(), PL([0.0, 1.0, 2.0], [0.0, 1.0, 1.0], 1.0, 1.0), PL([0.0], [-5.0], 1.0, 1.0))
+        field = SolutionField(spec)
+        for c in (trace_backward_v(field, x, 0.5), trace_forward_v(field, x, 0.5)):
+            assert c.is_subsonic()
+            assert all(abs(xs - (x - 0.5 + ts)) <= 1e-9 for xs, ts in c.samples)
+
+    def test_flat_stretch_into_the_frozen_zone(self):
+        # the wedge with v0 = 1 on [1, 2]: the value-1 front stands at x = 2,
+        # and label 1.3 moves until it meets it at t = 0.7; w on the mirror
+        from test_levelset import mirrored_spec
+
+        spec = ProblemSpec(Domain.whole_line(), PL([0.0, 1.0, 2.0], [0.0, 1.0, 1.0], -1.0, 1.0), PL([0.0], [0.0], 0.5, 0.5))
+        cv = trace_forward_v(SolutionField(spec), 1.8, 0.5)
+        cw = trace_forward_w(SolutionField(mirrored_spec(spec)), -1.8, 0.5)
+        assert all(abs(x - min(1.3 + t, 2.0)) <= 1e-9 for x, t in cv.samples)
+        assert all(abs(x + min(1.3 + t, 2.0)) <= 1e-9 for x, t in cw.samples)
+        assert cv.zones == cw.zones and cv.zones[-1] is ZoneLabel.FROZEN
+
     @pytest.mark.parametrize(
         "x, t, dt",
         [
@@ -208,8 +231,19 @@ class TestExactPath:
         assert max(abs(v - c.values[-1]) for v in c.values) <= tol
 
 
-@pytest.mark.parametrize("tracer", [trace_backward_v, trace_backward_w, trace_forward_v, trace_forward_w])
-def test_tracers_bound_their_samples(wedge_field, tracer):
-    # 1e12 steps used to run for hours; the exact path would run out of memory
+@pytest.mark.parametrize(
+    "tracer, kwargs",
+    [
+        (trace_backward_v, {"dt": 1e-12}),
+        (trace_backward_w, {"dt": 1e-12}),
+        (trace_forward_v, {"dt": 1e-12}),
+        (trace_forward_w, {"dt": 1e-12}),
+        (trace_forward_v, {"dt": 0.1, "t_end": math.nan}),
+        (trace_forward_w, {"dt": 0.1, "t_end": math.nan}),
+    ],
+)
+def test_tracers_bound_their_samples(wedge_field, tracer, kwargs):
+    # 1e12 steps used to run for hours; the exact path would run out of
+    # memory, and a nan horizon would never be reached
     with pytest.raises(ValueError, match="samples"):
-        tracer(wedge_field, 1.0, 1.0, dt=1e-12)
+        tracer(wedge_field, 1.0, 1.0, **kwargs)

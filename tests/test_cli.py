@@ -92,7 +92,7 @@ STABLE_OUTPUTS = [
     ("solve --fixture frozen-ramp --grid 41,21", "eb44e34ae30fc008acef96ca0e08182d609614792de368111427f4e9e8b40ef2"),
     ("solve --fixture uniform-gap --grid 41,21", "19861a2c35a25a7754e31e8f58f513248b99a1ba9f708258c55067c525777bb7"),
     ("solve --fixture thawline --grid 41,21", "1f07788e8954c3a0ffe9ebf979df8391745bd2f9380ff5c26d5c6261d2e4aded"),
-    ("trace --fixture wedge --kind v --direction backward --x 4 --t 1", "53f3c7d87da03dcf949f2bed94cd31b9577b553b136aa3b6bf30463446ffcb69"),
+    ("trace --fixture wedge --kind v --direction backward --x 4 --t 1", "671248508185c919eb4fcf5cd4d9321a6c98378bbb4a597db2e39e25fbe2effe"),
     ("oracle --fixture tent --levels 20 --seed 1", "3a0abb50993e83be809ecd8914609c7e2321c3266fe4d667d94d83f7af42ed84"),
 ]
 
