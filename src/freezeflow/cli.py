@@ -133,28 +133,19 @@ def cmd_solve(args) -> int:
         V, W = field.eval_grid(xs, ts)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_DOMAIN)
-    eps = field.zone_epsilon()
-    gap = V - W
-    rows = []
-    for i, t in enumerate(ts):
-        for j, x in enumerate(xs):
-            if gap[i, j] > eps:
-                zone = "liquid"
-            elif i + 1 < len(ts) and gap[i + 1, j] > eps:
-                zone = "boundary"
-            else:
-                zone = "frozen"
-            v, w = V[i, j], W[i, j]
-            rows.append((x, t, v, w, v + w, v - w, zone))
+    # a point that is not liquid is on the boundary when the next row thaws it
+    liquid = V - W > field.zone_epsilon()
+    thaws = np.zeros_like(liquid)
+    thaws[:-1] = liquid[1:]
+    zones = np.where(liquid, "liquid", np.where(thaws, "boundary", "frozen"))
+    X, T = np.meshgrid(xs, ts)
+    columns = [a.ravel().tolist() for a in (X, T, V, W, V + W, V - W, zones)]
     if args.format == "json":
-        payload = _json_text(
-            [
-                {"x": r[0], "t": r[1], "v": r[2], "w": r[3], "mu": r[4], "sigma": r[5], "zone": r[6]}
-                for r in rows
-            ]
-        )
+        keys = ("x", "t", "v", "w", "mu", "sigma", "zone")
+        payload = _json_text([dict(zip(keys, r)) for r in zip(*columns)])
     else:
-        payload = _csv_text(["x", "t", "v", "w", "mu", "sigma", "zone"], rows)
+        line = "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s\n"
+        payload = "x,t,v,w,mu,sigma,zone\n" + "".join([line % r for r in zip(*columns)])
     _write(args.out, payload)
     return 0
 

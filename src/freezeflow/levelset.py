@@ -30,6 +30,15 @@ every step of that bisection, while a secant on the signed distance to the
 surviving labels chooses which steps need a probe, so a value takes a few
 probes instead of one per step.
 
+A grid needs fewer levels still.  Two levels whose signatures are equal
+(which piece of the data each level-interval end sits on, the order of the
+nodes, and the branch outcomes inside the component structure) certify
+that every end is affine in b between them, so the value of each grid
+point whose membership changes there follows in closed form.  The shared
+bracket is split on bisection's lattice only until each value lies in such
+a cell or in a final cell, and each exact value is snapped to bisection's
+answer, with a real probe where a midpoint comes close to it.
+
 Empty-set convention: if the running integral never goes negative the point
 is never annihilated, so alpha_v returns +inf (alpha_w returns -inf) and the
 survival condition holds for all times t.  This is the operational reading
@@ -51,6 +60,10 @@ INF = math.inf
 
 _MAX_BISECT = 60
 _CACHE_CAP = 400_000
+_SNAP = 1e-3  # grid values this many final cells from a midpoint probe it
+_ROUND = 1e-13  # relative rounding allowed for labels and thresholds in closed form
+_FEW = 16  # grid points whose membership at a level is probed one by one
+_CHUNK = 4096  # grid points solved in closed form together
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +184,12 @@ class _LevelSlice:
 
     __slots__ = ("components", "comp_los")
 
-    def __init__(self, blue, nodes, kvals):
+    def __init__(self, blue, nodes, kvals, codes=None):
         self.components = []
         for (p, q) in blue:
-            self.components.append(_component_structure(nodes, kvals, p, q))
+            self.components.append(_component_structure(nodes, kvals, p, q, codes))
+            if codes is not None:
+                codes.append(-1)
         self.comp_los = [c[0] for c in self.components]
 
     def membership(self, x0: float, t: float) -> bool:
@@ -219,12 +234,14 @@ class _LevelSlice:
         return -min(x0 - left, right - x0)
 
 
-def _component_structure(nodes, kvals, p, q):
+def _component_structure(nodes, kvals, p, q, codes=None):
     """Alpha pieces for one component [p, q] of the moving set.
 
     Levels are parameterized by c = x - q in [c_floor, 0]; piece
     (c_hi, c_lo, y_base) encodes alpha(c) = y_base + (c_hi - c) for
-    c in (c_lo, c_hi].  Levels c <= c_end are never annihilated.
+    c in (c_lo, c_hi].  Levels c <= c_end are never annihilated.  A list
+    ``codes`` receives the outcome of the three comparisons made in each
+    descending region, which fix how the results are formed from the nodes.
     """
     if q == INF:
         return (p, q, (), -INF)
@@ -241,6 +258,8 @@ def _component_structure(nodes, kvals, p, q):
         if k < 0:
             lo_level = gs - length  # -inf on an infinite descent
             hi_level = mcur if mcur < gs else gs
+            if codes is not None:
+                codes.append((mcur < gs) + 2 * (hi_level > lo_level) + 4 * (lo_level < mcur))
             if hi_level > lo_level:
                 y_base = pos + (gs - hi_level)
                 pieces.append((hi_level, lo_level, y_base))
@@ -351,17 +370,17 @@ class _LevelPair:
         self._v: Optional[_LevelSlice] = None
         self._w: Optional[_LevelSlice] = None
 
-    def vslice(self) -> _LevelSlice:
-        if self._v is None:
-            self._v = _LevelSlice(self.blue, self.nodes, self.kvals)
+    def vslice(self, codes=None) -> _LevelSlice:
+        if self._v is None or codes is not None:
+            self._v = _LevelSlice(self.blue, self.nodes, self.kvals, codes)
         return self._v
 
-    def wslice(self) -> _LevelSlice:
-        if self._w is None:
+    def wslice(self, codes=None) -> _LevelSlice:
+        if self._w is None or codes is not None:
             blue_r = [(-hi, -lo) for lo, hi in reversed(self.red)]
             nodes_r = [-n for n in reversed(self.nodes)]
             kvals_r = [-k for k in reversed(self.kvals)]
-            self._w = _LevelSlice(blue_r, nodes_r, kvals_r)
+            self._w = _LevelSlice(blue_r, nodes_r, kvals_r, codes)
         return self._w
 
 
@@ -386,6 +405,350 @@ def superlevel_set(spec: ProblemSpec, b: float, t: float) -> IntervalUnion:
     if spec.domain.is_segment:
         moved = moved.clip(spec.domain.a1, spec.domain.a2)
     return moved
+
+
+# ---------------------------------------------------------------------------
+# Grid evaluation: exact row profiles
+# ---------------------------------------------------------------------------
+
+
+def _padded(lo: float, hi: float, tolerance: float) -> Tuple[float, float, float]:
+    """Bisection's padded bracket for a value range, and its final cell width."""
+    tol = tolerance * max(1.0, hi - lo)
+    pad = 1e-9 * (1.0 + abs(lo) + abs(hi)) + 4.0 * tol
+    return lo - pad, hi + pad, tol
+
+
+def _front_table(sl: _LevelSlice):
+    """``_front`` of every component of a slice as arrays over its branches.
+
+    Returns (p, T, F, R): the left ends p, and per component the thresholds
+    T of the branches in ``_front``'s order (t <= 0 first, then two per
+    piece) and the front F - R t of each branch, the last column being the
+    branch taken when t exceeds every threshold.  Unused thresholds are
+    -inf, so a component with fewer pieces never takes them.
+    """
+    comps = sl.components
+    m = max((1 + 2 * len(c[2]) for c in comps), default=1)
+    T = np.full((len(comps), m), -INF)
+    F = np.empty((len(comps), m + 1))
+    R = np.zeros((len(comps), m + 1))
+    for k, (p, q, pieces, c_end) in enumerate(comps):
+        if q == INF:
+            F[k] = INF
+            continue
+        T[k, 0], F[k, 0] = 0.0, q
+        i = 1
+        for c_hi, c_lo, y_base in pieces:
+            s = y_base + c_hi - q
+            T[k, i], F[k, i] = (y_base - q - c_hi) * 0.5, q + c_hi
+            T[k, i + 1], F[k, i + 1], R[k, i + 1] = (s - 2.0 * c_lo) * 0.5, q + s * 0.5, 1.0
+            i += 2
+        F[k, i:] = -INF if c_end == -INF else q + c_end
+    return np.array(sl.comp_los), T, F, R
+
+
+def _half_line(ga, gb, l, w):
+    """Ends of {b : g(b) >= 0} for the affine g with g(l) = ga, g(l + w) = gb."""
+    root = l - ga * w / (gb - ga)
+    flat = ga == gb
+    lower = np.where(flat, np.where(ga >= 0, -INF, INF), np.where(gb > ga, root, -INF))
+    upper = np.where(flat, np.where(ga >= 0, INF, -INF), np.where(gb > ga, INF, root))
+    return lower, upper
+
+
+def _exact_values(l, h, side, t, x0, p1, p2, ta, tb, f1, f2, r):
+    """Where membership begins (side 0) or ends (side 1) in cells [l, h]
+    with equal signatures at both ends, one point per row, and a bound on
+    how far rounding can have moved that level.
+
+    Membership at b is p(b) <= x0 <= front(b, t) in the component that
+    holds x0 where it is a member.  p is affine in b from p1 to p2.  The
+    front follows the branch of ``_front`` whose threshold, ta to tb, is the
+    first that t does not exceed; each branch's front is affine in b from
+    f1 - r t to f2 - r t, so it changes branch only at the roots of the
+    thresholds at t, and between them the set of b is an interval.
+
+    Labels and thresholds are known to ``_ROUND`` of their size; a
+    constraint that is that close to binding at the value moves it by that
+    much over its rate of change in b.
+    """
+    n, m = ta.shape
+    ar = np.arange(n)
+    w = (h - l)[:, None]
+    lc, hc, tc = l[:, None], h[:, None], t[:, None]
+    rising = side == 0
+    crossed = (np.minimum(ta, tb) < tc) & (tc < np.maximum(ta, tb))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # infinite ends and thresholds
+        roots = np.where(crossed, lc + (tc - ta) * w / (tb - ta), hc)
+        slope = np.where(ta == tb, 0.0, tb - ta)
+        order = np.argsort(roots, axis=1)
+        edges = np.concatenate([lc, np.take_along_axis(roots, order, 1), hc], axis=1)
+        rates = np.take_along_axis(np.abs(slope) / w, order, 1)
+        rates = np.concatenate([np.full((n, 1), INF), rates, np.full((n, 1), INF)], axis=1)
+        ra, rb = edges[:, :-1], edges[:, 1:]
+        lam = (0.5 * (ra + rb) - lc) / w
+        branch = np.full(ra.shape, m)
+        for i in range(m - 1, -1, -1):  # the first threshold that t does not exceed wins
+            branch = np.where(tc <= ta[:, i:i + 1] + slope[:, i:i + 1] * lam, i, branch)
+        shift = r * tc + x0[:, None]
+        fa = np.take_along_axis(f1 - shift, branch, 1)
+        fb = np.take_along_axis(f2 - shift, branch, 1)
+        f_lo, f_hi = _half_line(fa, fb, lc, w)
+        pa, pb = x0 - p1, x0 - p2
+        p_lo, p_hi = _half_line(pa, pb, l, w[:, 0])
+        start = np.maximum(np.maximum(ra, f_lo), p_lo[:, None])
+        end = np.minimum(np.minimum(rb, f_hi), p_hi[:, None])
+        ok = (start <= end) & (rb > ra)
+        j = np.where(rising, np.where(ok, start, INF).argmin(axis=1), np.where(ok, end, -INF).argmax(axis=1))
+        found = ok[ar, j]
+        c = np.where(rising, start[ar, j], end[ar, j])
+        # the error bound: each constraint within rounding of binding at c
+        ends = [_finite_abs(p1), _finite_abs(p2), _finite_abs(f1).max(axis=1), _finite_abs(f2).max(axis=1)]
+        size = np.abs(x0) + t + np.maximum.reduce(ends)
+        tiny = _ROUND * size
+        lam_c = (c - l) / w[:, 0]
+        err = _ROUND * np.abs(c)
+        for ga, gb in ((fa[ar, j], fb[ar, j]), (pa, pb)):
+            near = np.abs(ga + (gb - ga) * lam_c) <= tiny
+            err = np.maximum(err, np.where(near, tiny * w[:, 0] / np.abs(gb - ga), 0.0))
+        at_root = c == np.where(rising, ra[ar, j], rb[ar, j])
+        err = np.maximum(err, np.where(at_root, tiny / np.where(rising, rates[ar, j], rates[ar, j + 1]), 0.0))
+    # rounding can leave the set empty: then every midpoint in the cell is probed
+    c = np.where(found, c, np.where(rising, h, l))
+    return np.clip(c, l, h), np.where(found, err, w[:, 0])
+
+
+def _finite_abs(a):
+    return np.where(np.isfinite(a), np.abs(a), 0.0)
+
+
+class _Level:
+    """One level of a grid sweep: its pair, signature, slices and tables.
+
+    The signature is the level's combinatorial structure apart from t.  Its
+    first part, ``gap``, counts the critical values (every breakpoint value
+    of v0 and w0, and their values at the segment ends) at or below b: two
+    levels that agree there have every level-interval end on the same piece
+    of v0 or w0.  Then come which ends share each node, ``kvals``, and the
+    branch codes that each slice records as it is built.  If two levels
+    agree in all of it (``same``), every comparison made in building their
+    pairs has the same outcome at both and compares affine functions of b,
+    so along the levels between them every end, node and piece is the
+    affine interpolation of its values at the two.
+    """
+
+    __slots__ = ("pair", "gap", "_nodes", "_slices", "_codes", "_fronts", "_tables")
+
+    def __init__(self, spec: ProblemSpec, b: float, critical: Sequence[float]):
+        self.pair = _LevelPair(spec, b)
+        self.gap = bisect_right(critical, b)
+        self._nodes: Optional[tuple] = None
+        self._slices: list = [None, None]
+        self._codes: list = [None, None]
+        self._fronts: list = [None, None]
+        self._tables: list = [None, None]
+
+    def nodes(self) -> tuple:
+        """Which ends share each node (1 blue, 2 red, 3 both), and ``kvals``."""
+        if self._nodes is None:
+            pair = self.pair
+            blue_ends = {x for iv in pair.blue for x in iv}
+            red_ends = {x for iv in pair.red for x in iv}
+            pattern = tuple((n in blue_ends) + 2 * (n in red_ends) for n in pair.nodes)
+            self._nodes = (pattern, tuple(pair.kvals))
+        return self._nodes
+
+    def slice(self, side: int) -> _LevelSlice:
+        """The v (0) or w (1) slice, built once with its branch codes."""
+        if self._slices[side] is None:
+            codes: list = []
+            self._slices[side] = self.pair.wslice(codes) if side else self.pair.vslice(codes)
+            self._codes[side] = codes
+        return self._slices[side]
+
+    def codes(self, side: int) -> list:
+        self.slice(side)
+        return self._codes[side]
+
+    def same(self, other: "_Level") -> bool:
+        """Equal signatures: the whole structure is affine in b between the two."""
+        if self.gap != other.gap or self.nodes() != other.nodes():
+            return False
+        return all(self.codes(side) == other.codes(side) for side in (0, 1))
+
+    def fronts(self, side: int, ts) -> np.ndarray:
+        """Every component's front at every grid time, -inf where it is dead."""
+        if self._fronts[side] is None:
+            comps = self.slice(side).components
+            fronts = [[-INF if f is None else f for f in (_front(c, t) for t in ts)] for c in comps]
+            self._fronts[side] = np.array(fronts).reshape(len(comps), len(ts))
+        return self._fronts[side]
+
+    def table(self, side: int):
+        if self._tables[side] is None:
+            self._tables[side] = _front_table(self.slice(side))
+        return self._tables[side]
+
+
+class _RowProfiles:
+    """Bisection's answers at every point of one grid, from a few levels.
+
+    The v side of point (x, t) reads the sublevel slices at label x - t and
+    the w side the reflected slices at -(x + t), both at the nudged x.  The
+    shared padded bracket is split on bisection's own lattice of midpoints,
+    but only where a cell's two end levels have different signatures and
+    some point's membership changes between them; neighbouring cells with
+    equal signatures are merged.  A point whose membership changes inside a
+    merged cell gets its exact value c in closed form: every component end
+    is affine in b there, and the branch ``_front`` takes at the point's t
+    changes only where one of its thresholds, affine in b, crosses t.  A
+    point whose membership changes inside an unmergeable final cell gets
+    that cell's midpoint.  Each c then becomes bisection's answer by walking
+    bisection's path with ``mid < c`` deciding each step; a midpoint within
+    ``_SNAP`` final cells of c, or within the bound on its rounding, is
+    decided by a real membership probe, so ties and frozen points keep
+    bisection's outcome.
+    """
+
+    def __init__(self, spec: ProblemSpec, xn, ts):
+        self.spec = spec
+        self.ts = list(ts)
+        tt = np.array(self.ts)[:, None]
+        self.shape = (len(self.ts), len(xn))
+        self.t = np.broadcast_to(tt, self.shape).ravel()
+        self.rows = np.repeat(np.arange(len(self.ts)), len(xn))
+        self.x0 = ((xn[None, :] - tt).ravel(), (-(xn[None, :] + tt)).ravel())
+        values = set(spec.v0.ys) | set(spec.w0.ys)
+        if spec.domain.is_segment:
+            values |= {f(a) for f in (spec.v0, spec.w0) for a in (spec.domain.a1, spec.domain.a2)}
+        self.critical = sorted(values)
+        self.levels: dict = {}
+
+    def level(self, b: float) -> _Level:
+        lv = self.levels.get(b)
+        if lv is None:
+            lv = self.levels[b] = _Level(self.spec, b, self.critical)
+        return lv
+
+    def members(self, lv: _Level, side: int, idx):
+        """``membership`` of the given points on one slice of a level.
+
+        Few points are probed one by one; many read a table of every
+        component's front at every grid time.
+        """
+        if not len(idx):
+            return np.zeros(0, dtype=bool)
+        sl = lv.slice(side)
+        x0 = self.x0[side][idx]
+        if len(idx) <= _FEW:
+            return np.array([sl.membership(a, t) for a, t in zip(x0.tolist(), self.t[idx].tolist())], dtype=bool)
+        k = np.searchsorted(np.array(sl.comp_los), x0, side="right") - 1
+        fronts = lv.fronts(side, self.ts)
+        if not len(fronts):
+            return np.zeros(len(idx), dtype=bool)
+        return (k >= 0) & (x0 <= fronts[np.maximum(k, 0), self.rows[idx]])
+
+    def values(self, lo: float, hi: float, tol: float):
+        every = np.arange(self.t.size)
+        first, last = self.level(lo), self.level(hi)
+        at_lo = [self.members(first, side, every) for side in (0, 1)]
+        at_hi = [self.members(last, side, every) for side in (0, 1)]
+        # a point whose membership never changes gets one end of the bracket
+        C = [np.where(at_lo[0], -INF, INF), np.where(at_hi[1], INF, -INF)]
+        inside = (np.flatnonzero(at_hi[0] & ~at_lo[0]), np.flatnonzero(at_lo[1] & ~at_hi[1]))
+        exact = []
+        for l, h, low, high, points in self._cells(lo, hi, tol, inside):
+            for side, idx in enumerate(points):
+                if not len(idx):
+                    continue
+                if low.same(high):
+                    exact.append((l, h, low, high, side, idx))
+                else:
+                    C[side][idx] = 0.5 * (l + h)
+        E = [np.zeros(self.t.size), np.zeros(self.t.size)]
+        self._closed_form(exact, C, E)
+        return tuple(self._snap(C[side], E[side], side, lo, hi, tol).reshape(self.shape) for side in (0, 1))
+
+    def _cells(self, lo, hi, tol, inside):
+        """Cells (l, h, level at l, level at h, (v points, w points)) holding
+        the values of the given points, in order."""
+        cells: list = []
+        stack = [(lo, hi, 0, inside)]
+        while stack:
+            l, h, depth, points = stack.pop()
+            if not (len(points[0]) or len(points[1])):
+                continue
+            low, high = self.level(l), self.level(h)
+            if low.same(high):
+                if cells and cells[-1][2].same(high):
+                    pl, _, plow, _, pp = cells[-1]
+                    cells[-1] = (pl, h, plow, high, tuple(np.concatenate(pair) for pair in zip(pp, points)))
+                else:
+                    cells.append((l, h, low, high, points))
+                continue
+            if h - l <= tol or depth >= _MAX_BISECT:
+                cells.append((l, h, low, high, points))
+                continue
+            mid = 0.5 * (l + h)
+            middle = self.level(mid)
+            v_in = self.members(middle, 0, points[0])  # value at most mid
+            w_in = self.members(middle, 1, points[1])  # value at least mid
+            stack.append((mid, h, depth + 1, (points[0][~v_in], points[1][w_in])))
+            stack.append((l, mid, depth + 1, (points[0][v_in], points[1][~w_in])))
+        return cells
+
+    def _closed_form(self, cells, C, E):
+        """Exact values C of the points in cells whose end levels have equal
+        signatures, given as (l, h, level at l, level at h, side, points),
+        and the bounds E on their rounding.  Points are solved in batches of about ``_CHUNK`` whose tables have
+        the same number of thresholds."""
+        batches: dict = {}
+
+        def solve(rows):
+            l, h, side, idx, *rest = (np.concatenate(col) for col in zip(*rows))
+            c, err = _exact_values(l, h, side, self.t[idx], *rest)
+            for s, mask in enumerate((side == 0, side == 1)):
+                C[s][idx[mask]] = c[mask]
+                E[s][idx[mask]] = err[mask]
+
+        for l, h, low, high, side, points in cells:
+            P1, T1, F1, R = low.table(side)
+            P2, T2, F2, _ = high.table(side)
+            batch = batches.setdefault(T1.shape[1], [[], 0])
+            for start in range(0, len(points), _CHUNK):
+                idx = points[start:start + _CHUNK]
+                x0 = self.x0[side][idx]
+                k = np.searchsorted(P1 if side else P2, x0, side="right") - 1
+                n = len(idx)
+                cell = (np.full(n, l), np.full(n, h), np.full(n, side), idx, x0)
+                batch[0].append(cell + (P1[k], P2[k], T1[k], T2[k], F1[k], F2[k], R[k]))
+                batch[1] += n
+                if batch[1] >= _CHUNK:
+                    solve(batch[0])
+                    batch[:] = [[], 0]
+        for rows, n in batches.values():
+            if n:
+                solve(rows)
+
+    def _snap(self, C, E, side, lo, hi, tol):
+        """Bisection's answers for exact values C known to within E, probing
+        only midpoints within that or ``_SNAP`` final cells of them."""
+        l = np.full(C.shape, lo)
+        h = np.full(C.shape, hi)
+        delta = np.maximum(_SNAP * tol, E)
+        for _ in range(_MAX_BISECT):
+            active = h - l > tol
+            if not active.any():
+                break
+            mid = 0.5 * (l + h)
+            below = mid < C
+            for i in np.flatnonzero(active & (np.abs(mid - C) <= delta)):
+                member = self.level(float(mid[i])).slice(side).membership(float(self.x0[side][i]), float(self.t[i]))
+                below[i] = member == bool(side)
+            l = np.where(active & below, mid, l)
+            h = np.where(active & ~below, mid, h)
+        return 0.5 * (l + h)
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +858,7 @@ class SolutionField:
         """
         self._check_point(x, t)
         lo, hi = bracket if bracket is not None else self._bracket(x, t)
-        tol = self.tolerance * max(1.0, hi - lo)
-        pad = 1e-9 * (1.0 + abs(lo) + abs(hi)) + 4.0 * tol
-        lo -= pad
-        hi += pad
+        lo, hi, tol = _padded(lo, hi, self.tolerance)
         budget = min(math.log2((hi - lo) / tol), _MAX_BISECT) + 14  # plain depth + 14
         cache = self._cache
         spec = self.spec
@@ -597,10 +957,16 @@ class SolutionField:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Dense evaluation; V[i][j] = v(xs[j], ts[i]), likewise W.
 
-        Uses one shared bisection bracket across the grid, so every probe
-        lands on one lattice of midpoints and the slice cache is reused by
-        neighbouring points; output is identical to pointwise calls up to
-        tolerance and independent of evaluation order.
+        Every value is plain bisection's answer on one bracket shared by the
+        grid, as ``eval_v`` and ``eval_w`` return it with that bracket, but
+        it is read off a few certified levels instead of one bisection per
+        point (see ``_RowProfiles``).  For piecewise-linear data every
+        level-set end is affine in b between two levels with equal
+        signatures (see ``_Level``), so each point's exact value follows in
+        closed form; a walk down bisection's path turns it into bisection's
+        answer, with a real membership probe wherever a midpoint comes within
+        ``_SNAP`` final cells of it or within its rounding bound.  Only that
+        final inversion is approximate.
         """
         xs = [float(x) for x in xs]
         ts = [float(t) for t in ts]
@@ -608,21 +974,20 @@ class SolutionField:
             raise ValueError("times must be nonnegative")
         if not all(self.spec.domain.contains(x) for x in xs):
             raise ValueError("grid x outside the domain")
-        t_hi = max(ts) if ts else 0.0
-        lo_x = min(xs) - t_hi if xs else 0.0
-        hi_x = max(xs) + t_hi if xs else 0.0
+        if not (xs and ts):
+            return np.empty((len(ts), len(xs))), np.empty((len(ts), len(xs)))
+        for t in ts:
+            self._check_point(xs[0], t)
+        for x in xs:
+            self._check_point(x, ts[0])
+        t_hi = max(ts)
+        lo_x, hi_x = min(xs) - t_hi, max(xs) + t_hi
         dom = self.spec.domain
         if dom.is_segment:
             lo_x, hi_x = max(lo_x, dom.a1), min(hi_x, dom.a2)
-        bracket = self._value_range(lo_x, hi_x)
-        V = np.empty((len(ts), len(xs)))
-        W = np.empty((len(ts), len(xs)))
-        ev, ew = self.eval_v, self.eval_w
-        for i, t in enumerate(ts):
-            for j, x in enumerate(xs):
-                V[i, j] = ev(x, t, bracket)
-                W[i, j] = ew(x, t, bracket)
-        return V, W
+        lo, hi, tol = _padded(*self._value_range(lo_x, hi_x), self.tolerance)
+        xn = np.array([self._nudge(x) for x in xs])
+        return _RowProfiles(self.spec, xn, ts).values(lo, hi, tol)
 
     # -- misc ---------------------------------------------------------------
 

@@ -196,9 +196,16 @@ class PiecewiseLinear:
         if hi < lo:
             lo, hi = hi, lo
         cand = [self._eval_scalar(lo), self._eval_scalar(hi)]
-        i0 = bisect_right(self.xs, lo)
-        i1 = bisect_right(self.xs, hi)
-        cand.extend(self.ys[i0:i1])
+        # f is monotone along each run, so inside (lo, hi] only the run ends
+        # can beat the values at lo and hi
+        xs, ys = self.xs, self.ys
+        runs = self._runs or self._monotone_runs()
+        for i0, _, _ in runs:
+            if lo < xs[i0] <= hi:
+                cand.append(ys[i0])
+        last = runs[-1][1]
+        if lo < xs[last] <= hi:
+            cand.append(ys[last])
         return min(cand), max(cand)
 
     # -- algebra ---------------------------------------------------------
@@ -344,10 +351,18 @@ class PiecewiseLinear:
         xs, ys, neg = self.xs, self.ys, self._neg_ys
         raw: list[Tuple[float, float]] = []
         sgn = 1.0 if below else -1.0
+        # a missing slope is the clamped tail that evaluation uses, which
+        # matters where a domain reaches beyond the breakpoints
+        left, right = self.left_slope, self.right_slope
+        if domain is not None:
+            if left is None and domain[0] < xs[0]:
+                left = 0.0
+            if right is None and domain[1] > xs[-1]:
+                right = 0.0
         # left tail: g = sgn (f - b) <= 0 is wanted, with slope s = sgn f'
-        if self.left_slope is not None:
+        if left is not None:
             g0 = sgn * (ys[0] - b)
-            s = sgn * self.left_slope
+            s = sgn * left
             if g0 <= 0:
                 raw.append((-INF, xs[0]) if s >= 0 else (xs[0] - g0 / s, xs[0]))
             elif s > 0 and xs[0] - g0 / s > -INF:  # no point: the crossing overflowed
@@ -390,9 +405,9 @@ class PiecewiseLinear:
                 else:
                     j = bisect_right(neg, -b, i0, i1)
                     raw.append((xs[i0], _crossing(xs, ys, j - 1, b)))
-        if self.right_slope is not None:
+        if right is not None:
             g1 = sgn * (ys[-1] - b)
-            s = sgn * self.right_slope
+            s = sgn * right
             if g1 <= 0:
                 raw.append((xs[-1], INF) if s <= 0 else (xs[-1], xs[-1] - g1 / s))
             elif s < 0 and xs[-1] - g1 / s < INF:

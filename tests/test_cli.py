@@ -79,7 +79,8 @@ def test_oracle_comparison(tmp_path):
 
 
 # SHA-256 of output that README promises is byte-stable: solve on every
-# fixture, and README's trace and oracle examples.  check and boundary are
+# fixture and on the benchmark's two solve grids, one solve as JSON, and
+# README's trace and oracle examples.  check and boundary are
 # left out, as their numpy reductions and LAPACK fits may round differently
 # on another build.
 STABLE_OUTPUTS = [
@@ -94,6 +95,9 @@ STABLE_OUTPUTS = [
     ("solve --fixture thawline --grid 41,21", "1f07788e8954c3a0ffe9ebf979df8391745bd2f9380ff5c26d5c6261d2e4aded"),
     ("trace --fixture wedge --kind v --direction backward --x 4 --t 1", "671248508185c919eb4fcf5cd4d9321a6c98378bbb4a597db2e39e25fbe2effe"),
     ("oracle --fixture tent --levels 20 --seed 1", "3a0abb50993e83be809ecd8914609c7e2321c3266fe4d667d94d83f7af42ed84"),
+    ("solve --fixture wedge --grid 201,101 --window=-5,5,0,2", "0d3f4fede8c131c8a86f275331cec1b966fa752a36053cef89bf8949d44cfc53"),
+    ("solve --fixture parabolas --grid 40,40 --window=0.8,2.0,0.4,2.0 --tol 1e-7", "9e14963a4005b252f30b5a166a8d59760f002b34f5e87922a2dcfed0d1bcf8ca"),
+    ("solve --fixture seg-tent --grid 21,11 --format json", "e7ddbff9f29122dce975308ace6b95306bbc7e8a5ce29fa7a0f812ae99c2d175"),
 ]
 
 
@@ -260,6 +264,16 @@ TINY_SLOPE = {"breakpoints": [0.0], "values": [0.0], "left_slope": 0.0, "right_s
 @example(obj={"domain": {"kind": "whole_line"}, "v0": TINY_SLOPE, "w0": dict(TINY_SLOPE, values=[-1.0])})
 # a junk integer end is a valid number, here one that moves the segment off the window
 @example(obj={"domain": {"kind": "segment", "a1": 1, "a2": 2.0}, "v0": SEG, "w0": SEG})
+# constant data: each level set jumps at a single level
+@example(obj={"domain": {"kind": "segment", "a1": -1.0, "a2": 2.0}, "v0": SEG, "w0": SEG})
+# level-set ends near 1e284: grid thresholds must not overflow into warnings
+@example(
+    obj={
+        "domain": {"kind": "whole_line"},
+        "v0": dict(LINE, right_slope=4.190450810254285e-285),
+        "w0": dict(LINE, values=[-1.0], right_slope=4.190450810254285e-285),
+    }
+)
 def test_generated_problem_files_exit_0_or_2(tmp_path, obj):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(obj))
@@ -272,6 +286,23 @@ def test_generated_problem_files_exit_0_or_2(tmp_path, obj):
         assert code in (0, 2)
     else:  # exit 3 is the documented code for a grid outside the domain
         assert code in (2, 3)
+
+
+def test_clamped_data_reaches_the_segment_ends(tmp_path):
+    # v0 and w0 have no slopes and stop short of the segment, so both clamp
+    # to 0 at x = 0 and to 1 at x = 2, where the level sets used to miss them
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "domain": {"kind": "segment", "a1": 0.0, "a2": 2.0},
+        "v0": {"breakpoints": [0.5, 1.5], "values": [0.0, 1.0]},
+        "w0": {"breakpoints": [0.5, 1.0, 1.5], "values": [0.0, -1.0, 1.0]},
+    }))
+    out = tmp_path / "out.csv"
+    assert run_cli(["solve", "--problem", str(path), "--grid", "5,1", "--window=0,2,0,0", "--out", str(out)]) == 0
+    rows = {float(r[0]): (float(r[2]), float(r[3])) for r in (line.split(",") for line in out.read_text().splitlines()[1:])}
+    for x, value in ((0.0, 0.0), (2.0, 1.0)):
+        v, w = rows[x]
+        assert abs(v - value) < 1e-9 and abs(w - value) < 1e-9, (x, v, w)
 
 
 @pytest.mark.parametrize("flag, argv", [("--n", ["--n", "1"]), ("--stride", ["--n", "4", "--stride", "0"])])

@@ -16,7 +16,7 @@ from freezeflow import (
     sublevel_set,
     superlevel_set,
 )
-from freezeflow.fixtures import wedge_v_exact, wedge_w_exact
+from freezeflow.fixtures import FIXTURES, wedge_v_exact, wedge_w_exact
 from freezeflow.levelset import extended_level_sets
 
 PL = PiecewiseLinear
@@ -392,6 +392,14 @@ def _query_points(spec, rng, n=12):
     return pts
 
 
+def _shifted_spec(spec, d):
+    """The problem moved right by d."""
+    dom = spec.domain
+    domain = Domain.segment(dom.a1 + d, dom.a2 + d) if dom.is_segment else dom
+    move = lambda f: PL([x + d for x in f.xs], f.ys, f.left_slope, f.right_slope)  # noqa: E731
+    return ProblemSpec(domain, move(spec.v0), move(spec.w0))
+
+
 def _mirrored_problem_specs():
     specs = [get_fixture(name).build() for name in ("wedge", "tent", "seg-tent", "downhill")]
     rng = np.random.default_rng(41)
@@ -413,6 +421,59 @@ class TestInversion:
                 x, t = float(xs[j]), float(ts[i])
                 assert V[i, j] == bisection_reference(field, x, t, bracket, False), (x, t)
                 assert W[i, j] == bisection_reference(field, x, t, bracket, True), (x, t)
+
+    @pytest.mark.parametrize("source", ["fixtures", "random", "far-out", "tiny-tolerance"])
+    def test_grid_equals_bisection(self, source):
+        # unsorted and repeated xs and ts, t = 0 rows and exact segment ends;
+        # far out, labels carry rounding far above the tolerance, and a tiny
+        # tolerance takes bisection down to the step cap
+        rng = np.random.default_rng(20261019)
+        tolerance = 1e-300 if source == "tiny-tolerance" else 1e-10
+        if source == "random":
+            specs = [random_pl_spec(rng, segment=k % 2 == 0) for k in range(12)]
+        else:
+            specs = [get_fixture(name).build() for name in sorted(FIXTURES)]
+        if source == "far-out":
+            specs = [_shifted_spec(spec, 1e7) for spec in specs if spec.v0.n < 100]
+        for spec in specs:
+            field = SolutionField(spec, tolerance=tolerance)
+            lo, hi = spec.breakpoint_span()
+            if not spec.domain.is_segment:
+                lo, hi = lo - 1.0, hi + 1.0
+            xs = list(rng.uniform(lo, hi, size=6))
+            if spec.domain.is_segment:
+                xs += [spec.domain.a1, spec.domain.a2]
+            xs += [xs[1], xs[-1]]
+            ts = list(rng.uniform(0.0, 3.0, size=3)) + [0.0]
+            ts += [ts[0], 0.0]
+            rng.shuffle(xs)
+            rng.shuffle(ts)
+            V, W = field.eval_grid(xs, ts)
+            # eval_grid's shared bracket
+            lo_x, hi_x = min(xs) - max(ts), max(xs) + max(ts)
+            if spec.domain.is_segment:
+                lo_x, hi_x = max(lo_x, spec.domain.a1), min(hi_x, spec.domain.a2)
+            bracket = field._value_range(lo_x, hi_x)
+            for i, t in enumerate(ts):
+                for j, x in enumerate(xs):
+                    assert V[i, j] == bisection_reference(field, x, t, bracket, False), (spec, x, t)
+                    assert W[i, j] == bisection_reference(field, x, t, bracket, True), (spec, x, t)
+
+    def test_grid_rejects_non_finite_points(self, wedge_field, tent_field):
+        for field in (wedge_field, tent_field):
+            for xs, ts in (
+                ([math.inf], [0.1]),
+                ([0.5, math.nan], [0.1]),
+                ([0.5], [math.inf]),
+                ([0.5], [0.2, math.nan]),
+            ):
+                with pytest.raises(ValueError):
+                    field.eval_grid(xs, ts)
+
+    def test_empty_grid(self, wedge_field):
+        for xs, ts in (([], []), ([0.5, 1.0], []), ([], [0.0, 1.0])):
+            V, W = wedge_field.eval_grid(xs, ts)
+            assert V.shape == W.shape == (len(ts), len(xs))
 
     @pytest.mark.parametrize("source", ["mirrored", "random"])
     def test_values_equal_bisection(self, source):
@@ -461,7 +522,7 @@ class TestInversion:
         probes.append(0)
         field = SolutionField(get_fixture("wedge").build(), tolerance=1e-9)
         V, W = field.eval_grid(np.linspace(-5.0, 5.0, 201), np.linspace(0.0, 2.0, 101))
-        assert probes[-1] / (V.size + W.size) <= 6.0  # plain bisection takes 34
+        assert probes[-1] / (V.size + W.size) <= 0.1  # plain bisection takes 34
 
     def test_tiny_tolerance_stops_at_the_step_cap(self, wedge_spec):
         # h - l stops shrinking long before 1e-300; only the cap ends the walk

@@ -103,6 +103,29 @@ class TestPiecewiseLinear:
         f = PL([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], -1.0, 1.0)
         assert f.min_max_on(-0.5, 2.0) == (0.0, 2.0)
 
+    def test_min_max_matches_bruteforce(self, rng):
+        # every breakpoint value in the range, flats and tails (sloped or
+        # clamped) included, and ranges ending on breakpoints
+        for case in range(300):
+            k = int(rng.integers(1, 12))
+            xs = np.sort(rng.choice(np.linspace(-5, 5, 41), size=k, replace=False))
+            ys = rng.choice([-1.0, 0.0, 0.5, 1.0], size=k) if case % 2 else rng.uniform(-3, 3, size=k)
+            slopes = (None, None) if case % 3 == 0 else tuple(rng.choice([-1.0, 0.0, 0.5], size=2))
+            f = PL(xs, ys, *slopes)
+            ends = rng.uniform(-8, 8, size=2) if case % 4 else rng.choice(xs, size=2)
+            lo, hi = (float(e) for e in ends)
+            a, b = min(lo, hi), max(lo, hi)
+            values = [f(lo), f(hi)] + [y for x, y in zip(xs, ys) if a <= x <= b]
+            assert f.min_max_on(lo, hi) == (min(values), max(values)), (xs, ys, slopes, lo, hi)
+
+    def test_clamped_tails_on_a_domain(self):
+        # without slopes, evaluation clamps beyond the breakpoints, and so
+        # do the level sets once a domain reaches there
+        f = PL([0.5, 1.5], [0.0, 1.0])
+        assert f.sublevel_intervals(0.0, domain=(0.0, 2.0)) == [(0.0, 0.5)]
+        assert f.superlevel_intervals(1.0, domain=(0.0, 2.0)) == [(1.5, 2.0)]
+        assert f.sublevel_intervals(0.5, domain=(0.0, 2.0)) == [(0.0, 1.0)]
+
     def test_algebra_and_inverse(self):
         f = PL([0.0, 2.0], [0.0, 4.0], 1.0, 2.0)
         g = PL([1.0], [1.0], 0.0, 0.0)
