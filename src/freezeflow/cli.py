@@ -115,6 +115,8 @@ def _parse_grid(text: str, least: int):
     nx, nt = _parse_pair(text, 2, "grid")
     if min(nx, nt) < least:
         raise CliError(f"--grid needs at least {least} points per axis, got {text!r}", EXIT_BAD_CONFIG)
+    if nx * nt > chars.MAX_SAMPLES:
+        raise CliError(f"--grid {text!r} has more than {chars.MAX_SAMPLES} points", EXIT_BAD_CONFIG)
     return int(nx), int(nt)
 
 

@@ -1,18 +1,16 @@
-"""Freezing/thawing boundary extraction and corner slope measurement.
+"""Freezing and thawing curves of the frozen zone, their corners and slopes.
 
-The liquid/frozen interface is traced by marching squares on the sign of
-v - w - zone_epsilon with sub-cell linear interpolation, then split into
-freezing pieces (|dt/dx| <= 1) and thawing pieces (|dt/dx| > 1) by local
-slope regime.  Corners are slope-regime changes sustained over several
-segments.  Each detected corner is then refined against the exact gap field:
-both incident branches are re-sampled by bisection in their own graph
-direction (t over x for freezing, x over t for thawing), extrapolated to the
-zero contour level, and fitted with quadratics whose intersection gives the
-corner and whose derivatives give the one-sided slopes.
-
-For strictly increasing data the freezing curve also has an exact parametric
-form (characteristics of equal value meeting halfway), provided here as a
-high-precision reference for validating the grid extraction.
+At level b each piece of a level-set component is a vertical frozen segment
+(``levelset._stands``): where the v and w fronts of the level stand at one x,
+v = w = b from the later of their first times to the first thaw.  One sweep
+in b (``SolutionField._sweep``) leaves cells in which each segment's x and
+times are affine in b, so the freezing curves (the lower ends) and thawing
+curves (the upper ends) are exact polylines; a stack of segments at one x,
+as at a segment wall, is a vertical thawing branch.  Corners are read off
+the same sweep: a segment that closes (freeze/thaw), the gap between two
+segments at one x that closes (thaw/freeze), and a peak of a thawing curve,
+where the binding thaw changes (tip).  One-sided slopes are those of the
+exact pieces next to the corner.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from typing import Dict, List, Optional, Tuple
+from itertools import combinations
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -29,9 +27,10 @@ from .characteristics import Curve, CurveKind
 from .levelset import SolutionField
 from .problem import ProblemSpec
 
-# a branch whose dx/dt is below this is reported with dt/dx capped at its
-# inverse and flagged unbounded
-SLOPE_TOL = 0.01
+SLOPE_TOL = 0.01  # |dx/dt| below which a branch's dt/dx is capped at the inverse and flagged unbounded
+_TINY = 1e-9  # relative distance under which two points of the sweep are one
+_ON_CORNER = 1e-6  # relative distance under which a branch sample sits on its corner
+_FLAT = 1e-12  # relative distance from its neighbours' chord under which a polyline vertex is dropped
 
 
 class CornerKind(Enum):
@@ -53,13 +52,10 @@ class CornerSlopes:
 
 @dataclass
 class Corner:
-    """A corner of the frozen zone with the boundary samples next to it.
-
-    ``freezing_pts`` and ``thawing_pts`` are the exact gap-field bisections
-    of the two incident branches (for a tip, its two thawing branches), or
-    the incident polyline's samples when refinement kept none.  ``slopes`` holds the one-sided slopes of the refined quadratic
-    fits; it is None when the fits did not hold.
-    """
+    """A corner of the frozen zone.  ``freezing_pts`` and ``thawing_pts`` are
+    the first vertices of its two branches (for a tip, the left and the right
+    thawing branch), running away from it; ``slopes`` holds the one-sided
+    slopes of the exact pieces next to it."""
 
     x: float
     t: float
@@ -78,182 +74,209 @@ class BoundarySet:
     warnings: List[str] = field(default_factory=list)
 
 
-# ---------------------------------------------------------------------------
-# Marching squares
-# ---------------------------------------------------------------------------
+def _ends(seg):
+    """The lower and the upper end of a frozen segment from ``_Level.frozen``."""
+    return (seg[0], max(seg[1])), (seg[0], min(seg[2]))
 
 
-def _march_segments(xs, ts, g):
-    """Zero-contour segments of g per cell; endpoints keyed by grid edge."""
-    nt, nx = g.shape
-    segs = []  # (edge_key_a, edge_key_b, point_a, point_b)
+def _frozen_for(lower, upper) -> float:
+    """How long a segment is frozen, less the length that is only rounding:
+    where two families of segments meet at one x, their pieces pair across."""
+    return upper[1] - lower[1] - 0.5 * _TINY * (1.0 + abs(lower[0]) + abs(lower[1]))
 
-    def h_cross(i, j):
-        g0, g1 = g[i, j], g[i, j + 1]
-        s = g0 / (g0 - g1)
-        return (xs[j] + s * (xs[j + 1] - xs[j]), ts[i])
 
-    def v_cross(i, j):
-        g0, g1 = g[i, j], g[i + 1, j]
-        s = g0 / (g0 - g1)
-        return (xs[j], ts[i] + s * (ts[i + 1] - ts[i]))
+def _cell_points(a, c):
+    """One segment across a cell whose end signatures agree, from a at the
+    lower level to c at the upper one.  Everything is affine in lam in [0, 1],
+    so the later first time and the least thaw time are affine between their
+    crossings, and the segment is exact between the returned (x, first, last,
+    frozen for) points: lam = 0, those crossings, the roots of
+    ``_frozen_for`` and lam = 1."""
+    (xa, fa, ea, _), (xc, fc, ec, _) = a, c
+    thaws = [(u, v) for u, v in zip(ea, ec) if math.isfinite(u) and math.isfinite(v)]
+    lams = [0.0, 1.0] + [
+        (u0 - v0) / ((u0 - v0) - (u1 - v1))
+        for fns in (thaws, list(zip(fa, fc)))
+        for (u0, u1), (v0, v1) in combinations(fns, 2)
+        if min(u0 - v0, u1 - v1) < 0.0 < max(u0 - v0, u1 - v1)
+    ]
 
-    for i in range(nt - 1):
-        for j in range(nx - 1):
-            c = [g[i, j] > 0, g[i, j + 1] > 0, g[i + 1, j + 1] > 0, g[i + 1, j] > 0]
-            if all(c) or not any(c):
+    def at(lam):
+        x = (1.0 - lam) * xa + lam * xc
+        first = max((1.0 - lam) * u + lam * v for u, v in zip(fa, fc))
+        last = min(((1.0 - lam) * u + lam * v for u, v in thaws), default=math.inf)
+        return x, first, last, _frozen_for((x, first), (x, last))
+
+    lams.sort()
+    gs = [at(lam)[3] for lam in lams]
+    roots = {l0 + (l1 - l0) * g0 / (g0 - g1) for l0, l1, g0, g1 in zip(lams, lams[1:], gs, gs[1:]) if min(g0, g1) < 0.0 < max(g0, g1)}
+    return [at(lam)[:3] + (0.0 if lam in roots else at(lam)[3],) for lam in sorted(set(lams) | roots)]
+
+
+def _near(p, q, rel=_TINY) -> bool:
+    tiny = rel * (1.0 + abs(p[0]) + abs(p[1]))
+    return abs(p[0] - q[0]) <= tiny and abs(p[1] - q[1]) <= tiny
+
+
+def _tracks(levels, affine):
+    """Follow the lower (freezing) and upper (thawing) end of every frozen
+    segment through the sweep.
+
+    Returns the freezing and the thawing tracks (lists of points) and their
+    ends as (point, thawing?, track, at its start?, segment id); the two ends
+    of one segment share its id.  Across a cell whose end signatures agree
+    each segment keeps its key; across one whose signatures differ each end
+    continues the nearest one of its kind within ``_TINY``, if any.
+    """
+    tracks, ends = ([], []), []
+
+    def start(seg_id, pts):
+        cur = []
+        for thawing, pt in enumerate(pts):
+            cur.append(None if pt is None or not math.isfinite(pt[1]) else [pt])
+            if cur[-1]:
+                tracks[thawing].append(cur[-1])
+                ends.append((pt, thawing, cur[-1], True, seg_id))
+        return cur
+
+    def stop(seg_id, cur):
+        ends.extend((track[-1], thawing, track, False, seg_id) for thawing, track in enumerate(cur) if track)
+
+    live = {i: start((0, i), _ends(seg)) for i, seg in enumerate(levels[0].frozen()) if _frozen_for(*_ends(seg)) > 0.0}
+    for k, same in enumerate(affine):
+        lower, upper = levels[k].frozen(), levels[k + 1].frozen()
+        ahead: dict = {}
+        if same:
+            index = {seg[3]: j for j, seg in enumerate(upper)}
+            for i, a in enumerate(lower):
+                cur, j = live.get(i), index.get(a[3])
+                pts = _cell_points(a, upper[j]) if j is not None else []
+                for n, (p, q) in enumerate(zip(pts, pts[1:])):
+                    if min(p[3], q[3]) < 0.0:  # not frozen on this piece
+                        if cur:
+                            stop((k, i, n), cur)
+                        cur = None
+                        continue
+                    cur = cur or start((k, i, n), ((p[0], p[1]), (p[0], p[2])))
+                    for thawing, track in enumerate(cur):
+                        if track:
+                            track.append((q[0], q[1 + thawing]))
+                if cur and j is not None:
+                    ahead[j] = cur
+                elif cur:
+                    stop((k, i, 0), cur)
+            paired = {seg[3] for seg in lower}
+            ahead.update((j, start((k + 1, j), _ends(seg))) for j, seg in enumerate(upper) if seg[3] not in paired and _frozen_for(*_ends(seg)) > 0.0)
+        else:
+            for thawing in (0, 1):
+                behind = {i: cur[thawing] for i, cur in live.items() if cur[thawing]}
+                front = {j: _ends(seg)[thawing] for j, seg in enumerate(upper) if _frozen_for(*_ends(seg)) > 0.0}
+                pairs = sorted(
+                    (math.dist(tr[-1], pt), i, j) for i, tr in behind.items() for j, pt in front.items() if _near(tr[-1], pt)
+                )
+                moved: dict = {}
+                for _, i, j in pairs:
+                    if i not in moved and j not in moved.values():
+                        moved[i] = j
+                        behind[i].append(front[j])
+                        ahead.setdefault(j, [None, None])[thawing] = behind[i]
+                for i, track in behind.items():
+                    if i not in moved:
+                        ends.append((track[-1], thawing, track, False, (k, i)))
+                for j, pt in front.items():
+                    if j not in moved.values():
+                        ahead.setdefault(j, [None, None])[thawing] = start((k + 1, j), (None, pt) if thawing else (pt, None))[thawing]
+        live = ahead
+    for i, cur in live.items():
+        stop((len(levels) - 1, i), cur)
+    return tracks, ends
+
+
+def _simplify(pts):
+    """Drop repeated vertices, keeping a polyline's ends, and vertices where
+    it does not turn."""
+    out = pts[:1]
+    for pt in pts[1:]:
+        if len(out) > 1:
+            (ax, at), (bx, bt) = out[-2:]
+            ux, ut, vx, vt = bx - ax, bt - at, pt[0] - bx, pt[1] - bt
+            turn = abs(ux * vt - ut * vx) > _FLAT * (1.0 + abs(bx) + abs(bt)) * math.hypot(ux + vx, ut + vt)
+            if _near(out[-1], pt) or (ux * vx + ut * vt > 0 and not turn):
+                out[-1] = pt
                 continue
-            edges = []  # (key, point)
-            if c[0] != c[1]:
-                edges.append((("h", i, j), h_cross(i, j)))
-            if c[1] != c[2]:
-                edges.append((("v", i, j + 1), v_cross(i, j + 1)))
-            if c[3] != c[2]:
-                edges.append((("h", i + 1, j), h_cross(i + 1, j)))
-            if c[0] != c[3]:
-                edges.append((("v", i, j), v_cross(i, j)))
-            if len(edges) == 2:
-                (ka, pa), (kb, pb) = edges
-                segs.append((ka, kb, pa, pb))
-            elif len(edges) == 4:
-                # saddle: resolve by the cell-center sign
-                center = 0.25 * (g[i, j] + g[i, j + 1] + g[i + 1, j] + g[i + 1, j + 1])
-                if (center > 0) == c[0]:
-                    pairs = ((0, 3), (1, 2))
-                else:
-                    pairs = ((0, 1), (2, 3))
-                for a, b in pairs:
-                    segs.append((edges[a][0], edges[b][0], edges[a][1], edges[b][1]))
-    return segs
+        if not _near(out[-1], pt):
+            out.append(pt)
+    pts[:] = out
 
 
-def _chain(segs):
-    """Chain marching-squares segments into polylines via shared edge keys."""
-    adj: Dict[tuple, list] = {}
-    for idx, (ka, kb, _, _) in enumerate(segs):
-        adj.setdefault(ka, []).append((idx, kb))
-        adj.setdefault(kb, []).append((idx, ka))
-    used = [False] * len(segs)
-    points = {}
-    for ka, kb, pa, pb in segs:
-        points[ka] = pa
-        points[kb] = pb
-    polylines = []
-    start_keys = [k for k, nbrs in adj.items() if len(nbrs) == 1] + list(adj.keys())
-    for start in start_keys:
-        if all(used[i] for i, _ in adj[start]):
-            continue
-        line = [start]
-        cur = start
-        while True:
-            nxt = None
-            for idx, other in adj[cur]:
-                if not used[idx]:
-                    used[idx] = True
-                    nxt = other
-                    break
-            if nxt is None:
-                break
-            line.append(nxt)
-            cur = nxt
-        if len(line) >= 2:
-            polylines.append([points[k] for k in line])
-    return polylines
+def _one_sided_slope(pts, corner):
+    """dt/dx of the piece of a branch next to a corner, and whether it is
+    unbounded.  ``pts`` run away from the corner; the piece ends at the first
+    sample off the corner and starts at the sample before it, or at the
+    corner.  A branch that never leaves the corner (the lower ends of a stack
+    of segments at one x) counts as flat."""
+    base = corner
+    for x, t in pts:
+        if not _near(corner, (x, t), _ON_CORNER):
+            dx, dt = x - base[0], t - base[1]
+            return (dt / dx, False) if abs(dx) >= abs(dt) else _steep(dx / dt)
+        base = (x, t)
+    return 0.0, False
 
 
-# ---------------------------------------------------------------------------
-# Regime splitting and corners
-# ---------------------------------------------------------------------------
+def _peaks(pts) -> List[int]:
+    """Vertices of a thawing polyline above both neighbours: tips."""
+    return [j for j in range(1, len(pts) - 1) if pts[j][1] - max(pts[j - 1][1], pts[j + 1][1]) > _TINY * (1.0 + abs(pts[j][1]))]
 
 
-def _regimes_raw(pts, closed):
-    """Regime per polyline segment: 'F', 'T+' or 'T-'.
+def _corners(ends, thawing) -> List[Corner]:
+    """Freeze/thaw corners where the two ends of one segment meet, thaw/freeze
+    corners where the thawing end of one segment meets the freezing end of
+    another, and tips at the peaks of the thawing tracks."""
+    corners: List[Corner] = []
 
-    Slopes are smoothed over a five-segment window before classification;
-    grid noise near |dt/dx| = 1 would otherwise split curves spuriously, and
-    a smoothed |dt/dx| up to 1.12 still counts as freezing.
-    """
-    n = len(pts) if closed else len(pts) - 1
-    nxt = (lambda i: (i + 1) % len(pts)) if closed else (lambda i: i + 1)
-    dxs = [pts[nxt(i)][0] - pts[i][0] for i in range(n)]
-    dts = [pts[nxt(i)][1] - pts[i][1] for i in range(n)]
-    reg = []
-    for i in range(n):
-        if closed:
-            idx = [(i + k) % n for k in range(-2, 3)]
-        else:
-            idx = range(max(0, i - 2), min(n, i + 3))
-        sdx = sum(dxs[j] for j in idx)
-        sdt = sum(dts[j] for j in idx)
-        if abs(sdt) <= 1.12 * abs(sdx):
-            reg.append("F")
-        else:
-            reg.append("T+" if sdt * sdx > 0 else "T-")
-    return reg
+    def add(kind, pt, freezing_pts, thawing_pts):
+        fs, fu = _one_sided_slope(freezing_pts, pt)
+        ts, tu = _one_sided_slope(thawing_pts, pt)
+        corners.append(Corner(pt[0], pt[1], kind, freezing_pts, thawing_pts, CornerSlopes(fs, ts, fu, tu)))
+
+    def branch(end):
+        return end[2][:8] if end[3] else end[2][::-1][:8]
+
+    lower, upper = [e for e in ends if not e[1]], [e for e in ends if e[1]]
+    pairs = sorted((f[4] != t[4], math.dist(f[0], t[0]), n, m) for n, f in enumerate(lower) for m, t in enumerate(upper))
+    used: set = set()
+    for other, _, n, m in pairs:
+        if ("f", n) not in used and ("t", m) not in used and _near(lower[n][0], upper[m][0]):
+            used |= {("f", n), ("t", m)}
+            add(CornerKind.THAW_FREEZE if other else CornerKind.FREEZE_THAW, lower[n][0], branch(lower[n]), branch(upper[m]))
+    for pts in thawing:
+        for j in _peaks(pts):
+            add(CornerKind.TIP, pts[j], *sorted((pts[j::-1][:8], pts[j:][:8]), key=lambda side: side[1][0]))
+    return corners
 
 
-def _suppress_runs(reg, min_run=6):
-    """Merge regime runs shorter than min_run into their longer neighbour.
-
-    min_run exceeds the slope-smoothing window so that the mixed-slope
-    segments straddling a genuine corner cannot masquerade as a regime.
-    """
-    runs = []
-    for r in reg:
-        if runs and runs[-1][0] == r:
-            runs[-1][1] += 1
-        else:
-            runs.append([r, 1])
-    while len(runs) > 1:
-        k = min(range(len(runs)), key=lambda j: runs[j][1])
-        if runs[k][1] >= min_run:
-            break
-        if k == 0:
-            runs[1][1] += runs[0][1]
-            runs.pop(0)
-        elif k == len(runs) - 1:
-            runs[-2][1] += runs[-1][1]
-            runs.pop()
-        else:
-            left, right = runs[k - 1], runs[k + 1]
-            (left if left[1] >= right[1] else right)[1] += runs[k][1]
-            runs.pop(k)
-        # re-join equal neighbours created by the merge
-        j = 0
-        while j < len(runs) - 1:
-            if runs[j][0] == runs[j + 1][0]:
-                runs[j][1] += runs[j + 1][1]
-                runs.pop(j + 1)
+def _clip(pts, box, inner):
+    """The parts of a polyline inside the closed box (x0, x1, t0, t1),
+    clamped to the box ``inner``."""
+    x0, x1, t0, t1 = box
+    parts: list = [[]]
+    for (ax, at), (bx, bt) in zip(pts, pts[1:]):
+        dx, dt = bx - ax, bt - at
+        lo, hi = 0.0, 1.0
+        for p, q in ((-dx, ax - x0), (dx, x1 - ax), (-dt, at - t0), (dt, t1 - at)):
+            if p == 0.0:
+                lo, hi = (lo, hi) if q >= 0.0 else (1.0, 0.0)
+            elif p < 0.0:
+                lo = max(lo, q / p)
             else:
-                j += 1
-    out = []
-    for r, m in runs:
-        out.extend([r] * m)
-    return out
-
-
-def _fit_line(pts):
-    """Total least squares line through points: (centroid, unit direction)."""
-    arr = np.asarray(pts)
-    c = arr.mean(axis=0)
-    u, s, vt = np.linalg.svd(arr - c)
-    return c, vt[0]
-
-
-def _intersect(c1, d1, c2, d2):
-    # c1 + a d1 = c2 + b d2
-    A = np.array([[d1[0], -d2[0]], [d1[1], -d2[1]]])
-    rhs = np.array([c2[0] - c1[0], c2[1] - c1[1]])
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if abs(det) < 1e-14:
-        return None
-    a = (rhs[0] * A[1, 1] - rhs[1] * A[0, 1]) / det
-    return (c1[0] + a * d1[0], c1[1] + a * d1[1])
-
-
-def _make_curve(kind, pts):
-    pts = sorted(pts, key=lambda p: (p[0], p[1]))
-    return Curve(kind, pts)
+                hi = min(hi, q / p)
+        if lo <= hi:
+            a = (ax + lo * dx, at + lo * dt) if lo > 0.0 else (ax, at)
+            if not parts[-1] or parts[-1][-1] != a:
+                parts.append([a])
+            parts[-1].append((ax + hi * dx, at + hi * dt) if hi < 1.0 else (bx, bt))
+    return [[(min(max(x, inner[0]), inner[1]), min(max(t, inner[2]), inner[3])) for x, t in part] for part in parts if len(set(part)) > 1]
 
 
 def extract_boundaries(
@@ -262,279 +285,46 @@ def extract_boundaries(
     resolution: Tuple[int, int],
     zone_epsilon: Optional[float] = None,
 ) -> BoundarySet:
-    """Trace the liquid/frozen interface inside window = (x0, x1, t0, t1).
+    """Freezing and thawing curves and corners inside window = (x0, x1, t0, t1).
 
-    Classifies a (nx x nt) grid by the sign of v - w - zone_epsilon, chains
-    the marching-squares contour and splits it into freezing and thawing
-    pieces by slope regime.  Each regime change is a corner, seeded where
-    line fits of the incident pieces meet and then refined against the
-    exact gap field (``_refine_corner``, ``_refine_tip``); its position is
-    clamped to the domain and to t >= 0.  A too-coarse resolution is
-    reported in ``warnings``, not raised.
+    One sweep over the values of the window's triangle of determinacy reads
+    the frozen segments (see the module docstring); curves are clipped to
+    the window and corners kept inside it.  Both are exact for the
+    piecewise-linear data: ``resolution`` = (nx, nt) only sets
+    ``cell_size``, the spacing of an nx x nt grid over the window, and
+    ``zone_epsilon`` is kept for compatibility; neither changes a curve or a
+    corner.
     """
     x0, x1, t0, t1 = window
     nx, nt = resolution
-    eps = zone_epsilon if zone_epsilon is not None else field_.zone_epsilon()
-    xs = np.linspace(x0, x1, nx)
-    ts = np.linspace(max(t0, 0.0), t1, nt)
-    V, W = field_.eval_grid(xs, ts)
-    g = V - W - eps
-    cell = max(xs[1] - xs[0], ts[1] - ts[0]) if nx > 1 and nt > 1 else 0.0
-    out = BoundarySet(cell_size=cell)
+    t0 = max(t0, 0.0)
+    for x, t in ((x0, t0), (x0, t1), (x1, t0), (x1, t1)):
+        field_._check_point(x, t)
     dom = field_.spec.domain
-    frozen_cells = int((g <= 0).sum())
-    if frozen_cells == 0:
-        return out
-    if frozen_cells < 4:
-        out.warnings.append("interface thinner than 2 cells; increase resolution")
-    segs = _march_segments(xs, ts, g)
-    polylines = _chain(segs)
-    for pts in polylines:
-        if len(pts) < 4:
-            continue
-        closed = math.hypot(pts[0][0] - pts[-1][0], pts[0][1] - pts[-1][1]) < 1e-12
-        if closed:
-            pts = pts[:-1]
-        reg = _regimes_raw(pts, closed)
-        if closed:
-            # rotate so index 0 sits on a regime boundary; then treat linearly
-            pivots = [k for k in range(len(reg)) if reg[k] != reg[k - 1]]
-            if pivots:
-                k0 = pivots[0]
-                pts = pts[k0:] + pts[:k0]
-                reg = reg[k0:] + reg[:k0]
-            pts = pts + [pts[0]]  # one regime entry per segment
-        reg = _suppress_runs(reg)
-        # split into maximal one-regime pieces
-        pieces = []
-        start = 0
-        for k in range(1, len(reg)):
-            if reg[k] != reg[k - 1]:
-                pieces.append((reg[start], pts[start : k + 1]))
-                start = k
-        pieces.append((reg[start], pts[start : len(reg) + 1]))
-        if closed and len(pieces) > 1 and pieces[0][0] == pieces[-1][0]:
-            # the loop seam fell inside one regime run; rejoin it across the seam
-            label, tail = pieces.pop()
-            head = pieces[0][1]
-            pieces[0] = (label, tail[:-1] + head)
-        for regime, sub in pieces:
-            if regime == "F":
-                out.freezing.append(_make_curve(CurveKind.FREEZING, sub))
-            else:
-                out.thawing.append(_make_curve(CurveKind.THAWING, sub))
-        if closed and len(pieces) == 1:
-            continue
-        # corners at regime changes (plus the wrap-around joint on loops)
-        joints = list(zip(pieces, pieces[1:]))
-        if closed and len(pieces) > 1:
-            joints.append((pieces[-1], pieces[0]))
-        for (rg_a, sub_a), (rg_b, sub_b) in joints:
-            joint = sub_a[-1]
-            fit_a = _fit_line(sub_a[-min(5, len(sub_a)) :])
-            fit_b = _fit_line(sub_b[: min(5, len(sub_b))])
-            hit = _intersect(*fit_a, *fit_b)
-            cx, ct = hit if hit is not None else joint
-            if math.hypot(cx - joint[0], ct - joint[1]) > 6 * cell:
-                cx, ct = joint  # ill-conditioned fit; keep the raw joint
-            if rg_a == "F" or rg_b == "F":
-                f_sub, t_sub = (sub_a, sub_b) if rg_a == "F" else (sub_b, sub_a)
-                # freeze/thaw corner: the freezing branch lies below the thawing one
-                f_t = np.mean([p[1] for p in f_sub])
-                t_t = np.mean([p[1] for p in t_sub])
-                kind = CornerKind.FREEZE_THAW if f_t <= t_t else CornerKind.THAW_FREEZE
-                corner = Corner(cx, ct, kind)
-                _refine_corner(field_, eps, corner, f_sub, t_sub, cell)
-            else:
-                corner = Corner(cx, ct, CornerKind.TIP)
-                _refine_tip(field_, eps, corner, sub_a, sub_b, cell)
-            # a fit extrapolated to a segment end or to t = 0 can overshoot it by ~1e-9
-            corner.x = min(max(corner.x, dom.a1), dom.a2)
-            corner.t = max(corner.t, 0.0)
-            out.corners.append(corner)
+    xa, xb, ta, tb = min(x0, x1), max(x0, x1), min(t0, t1), max(t0, t1)
+    cell = max((xb - xa) / (nx - 1), (tb - ta) / (nt - 1)) if nx > 1 and nt > 1 else 0.0
+    tracks, ends = _tracks(*field_._sweep(xa - tb, xb + tb))
+    for pts in tracks[0] + tracks[1]:
+        _simplify(pts)
+    slack = _TINY * (1.0 + max(abs(xa), abs(xb), tb))
+    box = (xa - slack, xb + slack, ta - slack, tb + slack)
+    inner = (max(xa, dom.a1), min(xb, dom.a2), ta, tb)
+
+    def curves(kind, polylines):
+        parts = [part for pts in polylines for part in _clip(pts, box, inner)]
+        return [Curve(kind, part[::-1] if part[-1] < part[0] else part) for part in parts]
+
+    thawing = []
+    for pts in tracks[1]:
+        cuts = [0] + _peaks(pts) + [len(pts) - 1]
+        thawing += [pts[a:b + 1] for a, b in zip(cuts, cuts[1:])]
+    out = BoundarySet(curves(CurveKind.FREEZING, tracks[0]), curves(CurveKind.THAWING, thawing), cell_size=cell)
+    for c in _corners(ends, tracks[1]):
+        if box[0] <= c.x <= box[1] and box[2] <= c.t <= box[3]:
+            c.x, c.t = min(max(c.x, inner[0]), inner[1]), min(max(c.t, inner[2]), inner[3])
+            if not any(c.kind is d.kind and _near((d.x, d.t), (c.x, c.t)) for d in out.corners):
+                out.corners.append(c)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Corner refinement against the exact gap field
-# ---------------------------------------------------------------------------
-
-
-def _gap(field_: SolutionField, x, t):
-    return field_.eval_v(x, t) - field_.eval_w(x, t)
-
-
-def _contour(gap, eps, frozen, liquid, lo, hi):
-    """Where the 1-D gap function crosses eps, bisected between a frozen
-    probe (gap <= eps) and a liquid one.  Both probes are first clamped to
-    [lo, hi]; None when the clamped bracket does not straddle the contour."""
-    frozen = min(max(frozen, lo), hi)
-    liquid = min(max(liquid, lo), hi)
-    if gap(frozen) > eps or gap(liquid) <= eps:
-        return None
-    for _ in range(42):
-        mid = 0.5 * (frozen + liquid)
-        if gap(mid) <= eps:
-            frozen = mid
-        else:
-            liquid = mid
-    return 0.5 * (frozen + liquid)
-
-
-def _boundary(gap, eps, frozen, liquid, lo, hi):
-    """eps-extrapolated boundary: the gap contour at level eps sits
-    eps/|grad gap| inside the liquid zone, so extrapolate eps -> 0 from two
-    contour levels."""
-    h1 = _contour(gap, eps * 0.5, frozen, liquid, lo, hi)
-    h2 = _contour(gap, eps, frozen, liquid, lo, hi)
-    if h1 is None or h2 is None:
-        return h1 if h1 is not None else h2
-    return 2.0 * h1 - h2
-
-
-def _curve_interp(sub, by_x: bool):
-    """The polyline ``sub`` as a graph t(x) (``by_x``) or x(t), and its range."""
-    us, vs = zip(*sorted((p if by_x else p[::-1] for p in sub), key=lambda p: p[0]))
-    return (lambda q: float(np.interp(q, us, vs))), (us[0], us[-1])
-
-
-def _ladder(field_, eps, sub, corner_xy, cell, by_x, margin):
-    """Up to ten exact boundary samples on one branch, marching away from
-    the corner.
-
-    A freezing branch is a graph t(x) (``by_x``), a thawing branch a graph
-    x(t).  Each sample fixes the branch's own coordinate and bisects the
-    other one within 3 cells of the polyline ``sub``, clamped to the domain
-    (x in [a1, a2], t >= 0); the frozen end of that bracket is found by
-    probing its lower end.  The ladder starts ``margin`` cells away from the
-    estimated corner so that corner position error cannot push samples onto
-    the other incident branch.
-    """
-    other_of, (u_lo, u_hi) = _curve_interp(sub, by_x)
-    u0 = corner_xy[0] if by_x else corner_xy[1]
-    away = -1.0 if abs(u_lo - u0) > abs(u_hi - u0) else 1.0
-    dom = field_.spec.domain
-    x_range = (dom.a1, dom.a2)
-    u_min, u_max = x_range if by_x else (0.0, math.inf)
-    lo, hi = (0.0, math.inf) if by_x else x_range
-    pts = []
-    for k in range(10):
-        u = u0 + away * (margin + 0.8 * k) * cell
-        if not u_min <= u <= u_max:
-            continue
-        est = other_of(min(max(u, u_lo), u_hi))
-        below, above = max(est - 3 * cell, lo), min(est + 3 * cell, hi)
-        gap = partial(_gap, field_, u) if by_x else partial(_gap, field_, t=u)
-        if gap(below) <= eps:
-            hit = _boundary(gap, eps, below, above, lo, hi)
-        else:
-            hit = _boundary(gap, eps, above, below, lo, hi)
-        if hit is not None:
-            pts.append((u, hit) if by_x else (hit, u))
-    return pts
-
-
-def _fit_quad(pts, by_x: bool):
-    """Least-squares quadratic in the branch's own graph direction.
-
-    Returns coefficients (c2, c1, c0) of v = c2 u^2 + c1 u + c0 with
-    u = x, v = t (by_x) or u = t, v = x.  The quadratic removes the
-    linear slope variation that biases straight-line corner fits.
-    """
-    u, v = np.array([p if by_x else p[::-1] for p in pts]).T
-    deg = 2 if len(pts) >= 4 else 1
-    c = np.polyfit(u, v, deg)
-    if deg == 1:
-        c = np.concatenate([[0.0], c])
-    return c
-
-
-def _refine_corner(field_, eps, corner, f_sub, t_sub, cell):
-    """Recompute a freeze/thaw corner from exact boundary samples.
-
-    Two passes: each samples both branches with ``_ladder`` (starting a
-    safety margin away from the current corner estimate), fits quadratics,
-    and moves the corner to the fixed point of x -> X_thaw(T_freeze(x)).
-    The second pass, anchored at the pass-one corner, tightens the ladders;
-    one-sided slopes are the fitted derivatives at the final corner.
-    """
-    fpts = tpts = None
-    for margin in (3.0, 1.2):
-        est = (corner.x, corner.t)
-        fpts = _ladder(field_, eps, f_sub, est, cell, True, margin)
-        tpts = _ladder(field_, eps, t_sub, est, cell, False, margin)
-        if len(fpts) < 3 or len(tpts) < 3:
-            break
-        qf = _fit_quad(fpts, by_x=True)   # t = qf(x)
-        qt = _fit_quad(tpts, by_x=False)  # x = qt(t)
-        x_star = corner.x
-        for _ in range(60):
-            x_new = float(np.polyval(qt, np.polyval(qf, x_star)))
-            if abs(x_new - x_star) < 1e-14:
-                x_star = x_new
-                break
-            x_star = x_new
-        t_star = float(np.polyval(qf, x_star))
-        if math.hypot(x_star - corner.x, t_star - corner.t) >= 6 * cell:
-            break
-        corner.x, corner.t = float(x_star), t_star
-        # a thawing dx/dt small against its spread along the ladder cannot
-        # be certified nonzero, so its slope counts as unbounded
-        ms = [2 * qt[0] * p[1] + qt[1] for p in tpts]
-        ts, tu = _steep(float(2 * qt[0] * t_star + qt[1]), float(max(ms) - min(ms)))
-        corner.slopes = CornerSlopes(float(2 * qf[0] * x_star + qf[1]), ts, False, tu)
-    # the incident polylines' samples (as in their Curves) stand in for
-    # ladders that kept nothing
-    corner.freezing_pts = fpts or sorted(f_sub)
-    corner.thawing_pts = tpts or sorted(t_sub)
-
-
-def _refine_tip(field_, eps, corner, sub_a, sub_b, cell):
-    """Recompute a tip by extrapolating the frozen width to zero.
-
-    Just below the tip the frozen set is a shrinking interval [l(t), r(t)];
-    both edges are exact x-bisections, and the tip is where the fitted
-    quadratics meet.
-    """
-    cx, ct = corner.x, corner.t
-    dom = field_.spec.domain
-    lpts, rpts = [], []
-    for k in range(2, 10):
-        t = ct - k * cell * 0.75
-        if t < 0:
-            continue
-        gap = partial(_gap, field_, t=t)
-        # locate a frozen probe near the middle
-        probe = None
-        for x in np.linspace(cx - 2 * cell, cx + 2 * cell, 9):
-            if dom.contains(x) and gap(x) <= eps:
-                probe = x
-                break
-        if probe is None:
-            continue
-        left = _boundary(gap, eps, probe, probe - 8 * cell, dom.a1, dom.a2)
-        right = _boundary(gap, eps, probe, probe + 8 * cell, dom.a1, dom.a2)
-        if left is not None:
-            lpts.append((left, t))
-        if right is not None:
-            rpts.append((right, t))
-    corner.freezing_pts = lpts or sorted(sub_a)
-    corner.thawing_pts = rpts or sorted(sub_b)
-    if len(lpts) < 3 or len(rpts) < 3:
-        return
-    ql = _fit_quad(lpts, by_x=False)   # x = ql(t)
-    qr = _fit_quad(rpts, by_x=False)
-    diff = np.polysub(ql, qr)
-    roots = [r.real for r in np.roots(diff) if abs(r.imag) < 1e-9]
-    if not roots:
-        return
-    t_star = min(roots, key=lambda r: abs(r - ct))
-    x_star = float(np.polyval(ql, t_star))
-    if math.hypot(x_star - cx, t_star - ct) < 8 * cell:
-        corner.x, corner.t = x_star, float(t_star)
-        fs, fu = _steep(float(2 * ql[0] * t_star + ql[1]))
-        ts, tu = _steep(float(2 * qr[0] * t_star + qr[1]))
-        corner.slopes = CornerSlopes(fs, ts, fu, tu)
 
 
 # ---------------------------------------------------------------------------
@@ -568,69 +358,28 @@ def freezing_curve_monotone_case(
         t = (eta - xi) / 2.0
         if t >= 0:
             pts.append(((xi + eta) / 2.0, t))
-    return _make_curve(CurveKind.FREEZING, pts)
+    return Curve(CurveKind.FREEZING, sorted(pts))
 
 
-# ---------------------------------------------------------------------------
-# Corner slopes
-# ---------------------------------------------------------------------------
-
-
-def _steep(dxdt, spread=0.0):
-    """dt/dx of a branch from its dx/dt, with an unbounded flag.
-
-    A dx/dt within max(SLOPE_TOL, spread / 4) of zero cannot be told from a
-    vertical branch: its slope is capped at 1/SLOPE_TOL and flagged.  The
-    cap keeps the sign of dx/dt only when |dx/dt| exceeds the spread, and is
-    positive otherwise, since a sign below the noise would follow the grid.
-    """
-    if abs(dxdt) < max(SLOPE_TOL, 0.25 * spread):
-        return (-1.0 if dxdt < -spread else 1.0) / SLOPE_TOL, True
+def _steep(dxdt):
+    """dt/dx of a branch from its dx/dt, with an unbounded flag: a dx/dt
+    within SLOPE_TOL of zero cannot be told from a vertical branch, so its
+    slope is capped at 1/SLOPE_TOL, with the sign of dx/dt, and flagged."""
+    if abs(dxdt) < SLOPE_TOL:
+        return (-1.0 if dxdt < 0.0 else 1.0) / SLOPE_TOL, True
     return 1.0 / dxdt, False
-
-
-def _chord_pair(pts, corner):
-    """Chord vectors toward the corner from the nearest sample and one at
-    roughly twice its distance (for Richardson extrapolation).  A sample on
-    the corner itself gives no direction and is skipped."""
-    cx, ct = corner
-    chords = [(x - cx, t - ct) for x, t in pts if (x, t) != (cx, ct)]
-    chords.sort(key=lambda c: math.hypot(*c))
-    d1 = math.hypot(*chords[0])
-    far = next((c for c in chords if math.hypot(*c) >= 1.9 * d1), chords[-1])
-    return chords[0], far
-
-
-def _one_sided_slope(pts, corner):
-    """Richardson-extrapolated one-sided dt/dx toward the corner.
-
-    Near-vertical branches are extrapolated in dx/dt and passed to
-    ``_steep``.
-    """
-    if len(pts) < 5:
-        raise ValueError("insufficient samples on the incident curve")
-    (dx1, dt1), (dx2, dt2) = _chord_pair(pts, corner)
-    if abs(dx1) >= abs(dt1):
-        return 2.0 * (dt1 / dx1) - (dt2 / dx2), False
-    m1 = dx1 / dt1
-    m2 = dx2 / dt2 if dt2 != 0 else m1
-    return _steep(2.0 * m1 - m2)
 
 
 def corner_slopes(bset: BoundarySet, corner_index: int) -> CornerSlopes:
     """One-sided slopes dt/dx of the curves meeting at a corner.
 
-    Returns (freezing_slope, thawing_slope); for a tip the two thawing
-    branches fill both slots.  These are the refined fits'
-    derivatives (``Corner.slopes``) when the fits held, otherwise
-    Richardson extrapolations of the corner's boundary samples.  Slopes
-    steeper than 1/SLOPE_TOL are capped and flagged as unbounded.  Raises
-    ValueError when a branch has too few samples.
+    Returns (freezing_slope, thawing_slope), the slopes of the exact pieces
+    next to the corner (``Corner.slopes``); for a tip the left and right
+    thawing branches fill the two slots.  Slopes steeper than 1/SLOPE_TOL
+    are capped and flagged as unbounded.  Raises ValueError for a corner
+    without slopes.
     """
-    corner = bset.corners[corner_index]
-    if corner.slopes is not None:
-        return corner.slopes
-    xy = (corner.x, corner.t)
-    fs, fu = _one_sided_slope(corner.freezing_pts, xy)
-    ts, tu = _one_sided_slope(corner.thawing_pts, xy)
-    return CornerSlopes(fs, ts, fu, tu)
+    slopes = bset.corners[corner_index].slopes
+    if slopes is None:
+        raise ValueError("the corner has no slopes")
+    return slopes

@@ -37,7 +37,10 @@ that every end is affine in b between them, so the value of each grid
 point whose membership changes there follows in closed form.  The shared
 bracket is split on bisection's lattice only until each value lies in such
 a cell or in a final cell, and each exact value is snapped to bisection's
-answer, with a real probe where a midpoint comes close to it.
+answer, with a real probe where a midpoint comes close to it.  The same
+signatures let one sweep with a level at every critical value follow the
+frozen segments, where a v front and a w front stand at one x, for the
+freezing and thawing curves.
 
 Empty-set convention: if the running integral never goes negative the point
 is never annihilated, so alpha_v returns +inf (alpha_w returns -inf) and the
@@ -48,7 +51,7 @@ of the annihilation dynamics; it keeps never-matched points moving forever.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,6 +67,7 @@ _SNAP = 1e-3  # grid values this many final cells from a midpoint probe it
 _ROUND = 1e-13  # relative rounding allowed for labels and thresholds in closed form
 _FEW = 16  # grid points whose membership at a level is probed one by one
 _CHUNK = 4096  # grid points solved in closed form together
+_MATCH = 1e-9  # relative distance within which a v piece and a w piece stand at one x
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +300,33 @@ def _front(comp, t):
             break
         s = y_base + c_hi - q  # t_max(c) = s / 2 - c inside the piece
         if t <= (s - 2.0 * c_lo) * 0.5:  # t_max as c -> c_lo
-            front = q + (s * 0.5 - t)
+            front = q + s * 0.5 - t
             break
     else:
         if c_end == -INF:
             return None
         front = q + c_end
     return front if front >= p else None
+
+
+def _stands(comp):
+    """Where and when the front of one component stands still, per piece.
+
+    Inside a piece the front label q + s/2 - t retreats as fast as the
+    labels move, so the transported front stands at x = (q + y_base + c_hi)/2
+    from the piece's first time (y_base - q - c_hi)/2, where ``_front``
+    enters it, to its last, (s - 2 c_lo)/2, or until the front reaches p at
+    q + s/2 - p, whichever comes first.  Returns (x, first, last, death) per
+    piece, infinite where the descent or the component is.
+    """
+    p, q, pieces, _ = comp
+    if q == INF:
+        return []
+    out = []
+    for c_hi, c_lo, y_base in pieces:
+        s = y_base + c_hi - q
+        out.append(((q + y_base + c_hi) * 0.5, (y_base - q - c_hi) * 0.5, s * 0.5 - c_lo, q + s * 0.5 - p))
+    return out
 
 
 def band_path(outer: "_LevelSlice", inner: "_LevelSlice", x0: float, t: float):
@@ -523,8 +547,17 @@ def _finite_abs(a):
     return np.where(np.isfinite(a), np.abs(a), 0.0)
 
 
+def critical_values(spec: ProblemSpec) -> List[float]:
+    """Every breakpoint value of v0 and w0, and on a segment their values at
+    its ends, sorted: the levels where a level-interval end changes piece."""
+    values = set(spec.v0.ys) | set(spec.w0.ys)
+    if spec.domain.is_segment:
+        values |= {f(a) for f in (spec.v0, spec.w0) for a in (spec.domain.a1, spec.domain.a2)}
+    return sorted(values)
+
+
 class _Level:
-    """One level of a grid sweep: its pair, signature, slices and tables.
+    """One level of a sweep in b: its pair, signature, slices and tables.
 
     The signature is the level's combinatorial structure apart from t.  Its
     first part, ``gap``, counts the critical values (every breakpoint value
@@ -538,9 +571,10 @@ class _Level:
     affine interpolation of its values at the two.
     """
 
-    __slots__ = ("pair", "gap", "_nodes", "_slices", "_codes", "_fronts", "_tables")
+    __slots__ = ("b", "pair", "gap", "_nodes", "_slices", "_codes", "_fronts", "_tables", "_frozen")
 
     def __init__(self, spec: ProblemSpec, b: float, critical: Sequence[float]):
+        self.b = b
         self.pair = _LevelPair(spec, b)
         self.gap = bisect_right(critical, b)
         self._nodes: Optional[tuple] = None
@@ -548,6 +582,7 @@ class _Level:
         self._codes: list = [None, None]
         self._fronts: list = [None, None]
         self._tables: list = [None, None]
+        self._frozen: Optional[list] = None
 
     def nodes(self) -> tuple:
         """Which ends share each node (1 blue, 2 red, 3 both), and ``kvals``."""
@@ -571,11 +606,42 @@ class _Level:
         self.slice(side)
         return self._codes[side]
 
-    def same(self, other: "_Level") -> bool:
-        """Equal signatures: the whole structure is affine in b between the two."""
-        if self.gap != other.gap or self.nodes() != other.nodes():
+    def same(self, other: "_Level", gap: bool = True) -> bool:
+        """Equal signatures: the whole structure is affine in b between the two.
+
+        ``gap=False`` leaves out the count of critical values, for two levels
+        with no critical value strictly between them: an end that reaches a
+        breakpoint at one of them is still affine up to it.
+        """
+        if (gap and self.gap != other.gap) or self.nodes() != other.nodes():
             return False
         return all(self.codes(side) == other.codes(side) for side in (0, 1))
+
+    def frozen(self) -> list:
+        """The frozen segments of this level, in the v slice's order.
+
+        Where a v piece and a w piece stand at the same x (``_stands``),
+        v = w = b from the later of their first times to the earliest of
+        their last times and deaths.  Returns (x, firsts, ends, key) per
+        such pair, with firsts = (v first, w first), ends = (v last, v death,
+        w last, w death) and key the (component, piece) indices of the v
+        piece and then the w piece; a pair whose times do not overlap is
+        kept, with a negative length.
+        """
+        if self._frozen is None:
+            w = sorted(
+                (-x, first, ends, (k, i))
+                for k, comp in enumerate(self.slice(1).components)
+                for i, (x, first, *ends) in enumerate(_stands(comp))
+            )
+            w_xs = [s[0] for s in w]
+            self._frozen = []
+            for k, comp in enumerate(self.slice(0).components):
+                for i, (x, first, *ends) in enumerate(_stands(comp)):
+                    tiny = _MATCH * (1.0 + abs(x))
+                    for j in range(bisect_left(w_xs, x - tiny), bisect_right(w_xs, x + tiny)):
+                        self._frozen.append((x, (first, w[j][1]), (*ends, *w[j][2]), (k, i) + w[j][3]))
+        return self._frozen
 
     def fronts(self, side: int, ts) -> np.ndarray:
         """Every component's front at every grid time, -inf where it is dead."""
@@ -619,10 +685,7 @@ class _RowProfiles:
         self.t = np.broadcast_to(tt, self.shape).ravel()
         self.rows = np.repeat(np.arange(len(self.ts)), len(xn))
         self.x0 = ((xn[None, :] - tt).ravel(), (-(xn[None, :] + tt)).ravel())
-        values = set(spec.v0.ys) | set(spec.w0.ys)
-        if spec.domain.is_segment:
-            values |= {f(a) for f in (spec.v0, spec.w0) for a in (spec.domain.a1, spec.domain.a2)}
-        self.critical = sorted(values)
+        self.critical = critical_values(spec)
         self.levels: dict = {}
 
     def level(self, b: float) -> _Level:
@@ -981,13 +1044,49 @@ class SolutionField:
         for x in xs:
             self._check_point(x, ts[0])
         t_hi = max(ts)
-        lo_x, hi_x = min(xs) - t_hi, max(xs) + t_hi
+        lo, hi, tol = self._span_bracket(min(xs) - t_hi, max(xs) + t_hi)
+        xn = np.array([self._nudge(x) for x in xs])
+        return _RowProfiles(self.spec, xn, ts).values(lo, hi, tol)
+
+    def _span_bracket(self, lo_x: float, hi_x: float) -> Tuple[float, float, float]:
+        """The padded value bracket of [lo_x, hi_x] within the domain and its
+        final cell width; ValueError where the padding overflows."""
         dom = self.spec.domain
         if dom.is_segment:
             lo_x, hi_x = max(lo_x, dom.a1), min(hi_x, dom.a2)
         lo, hi, tol = _padded(*self._value_range(lo_x, hi_x), self.tolerance)
-        xn = np.array([self._nudge(x) for x in xs])
-        return _RowProfiles(self.spec, xn, ts).values(lo, hi, tol)
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"the values over [{lo_x:g}, {hi_x:g}] pad to [{lo:g}, {hi:g}], which is not finite")
+        return lo, hi, tol
+
+    def _sweep(self, lo_x: float, hi_x: float):
+        """The levels of one sweep in b over the padded value bracket of
+        [lo_x, hi_x] (within the domain), in order, and per cell between
+        neighbours whether their signatures agree.
+
+        Every critical value inside the bracket is a level, so ``same`` can
+        leave out the count of critical values; a cell whose end signatures
+        differ is bisected down to its last representable midpoint, or
+        ``_MAX_BISECT`` halvings.
+        """
+        lo, hi, _ = self._span_bracket(lo_x, hi_x)
+        critical = critical_values(self.spec)
+        levels, depths, affine = [_Level(self.spec, lo, critical)], [0], []
+        for b in critical[bisect_right(critical, lo):bisect_left(critical, hi)] + [hi]:
+            stack = [(_Level(self.spec, b, critical), 0)]  # upper ends still to reach, nearest last
+            while stack:
+                high, own = stack[-1]
+                depth = max(own, depths[-1])
+                same = levels[-1].same(high, gap=False)
+                mid = 0.5 * (levels[-1].b + high.b)
+                if same or depth >= _MAX_BISECT or not levels[-1].b < mid < high.b:
+                    stack.pop()
+                    levels.append(high)
+                    depths.append(own)
+                    affine.append(same)
+                else:
+                    stack.append((_Level(self.spec, mid, critical), depth + 1))
+        return levels, affine
 
     # -- misc ---------------------------------------------------------------
 

@@ -138,7 +138,10 @@ class PiecewiseLinear:
     def __call__(self, x):
         if isinstance(x, np.ndarray):
             return self._eval_array(x)
-        return self._eval_scalar(float(x))
+        x = float(x)
+        if math.isnan(x):
+            raise ValueError(f"cannot evaluate at x={x!r}")
+        return self._eval_scalar(x)
 
     def _eval_scalar(self, x: float) -> float:
         xs, ys = self.xs, self.ys
@@ -193,6 +196,9 @@ class PiecewiseLinear:
 
     def min_max_on(self, lo: float, hi: float) -> Tuple[float, float]:
         """Exact min and max over [lo, hi] (tails included on the whole line)."""
+        for name, end in (("lo", lo), ("hi", hi)):
+            if math.isnan(end):
+                raise ValueError(f"min_max_on: {name}={end!r} is not a number")
         if hi < lo:
             lo, hi = hi, lo
         cand = [self._eval_scalar(lo), self._eval_scalar(hi)]

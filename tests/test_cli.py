@@ -186,6 +186,29 @@ def test_generated_trace_arguments_exit_cleanly(fixture, kind, direction, number
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
 
 
+# a grid of at most 3 x 3 points, or one that is rejected
+GRID_NUMBERS = st.sampled_from(["0", "-1", "1", "3", "1e300", "nan", "inf"])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    command=st.sampled_from(["solve", "boundary"]),
+    fixture=st.sampled_from(["wedge", "seg-tent"]),
+    grid=st.tuples(GRID_NUMBERS, GRID_NUMBERS),
+    window=st.tuples(TRACE_NUMBERS, TRACE_NUMBERS, TRACE_NUMBERS, TRACE_NUMBERS),
+    tol=st.one_of(st.none(), st.sampled_from(["0", "-1", "1e-9", "1", "1e300", "1e-300", "nan", "inf"])),
+)
+def test_generated_grid_arguments_exit_cleanly(command, fixture, grid, window, tol):
+    env = dict(os.environ, PYTHONPATH=str(Path(freezeflow.__file__).parents[1]))
+    argv = [command, "--fixture", fixture, "--grid=" + ",".join(grid), "--window=" + ",".join(window), "--out", os.devnull]
+    argv += [] if tol is None else [f"--tol={tol}"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "freezeflow.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode in (0, 2, 3, 4), proc.stderr
+    assert proc.stderr.count("\n") == (proc.returncode != 0) and "Traceback" not in proc.stderr, proc.stderr
+
+
 LINE = {"breakpoints": [0.0], "values": [0.0], "left_slope": 1.0, "right_slope": 1.0}
 SEG = {"breakpoints": [0.0], "values": [0.0]}
 
@@ -329,6 +352,9 @@ TRACE_V = ["trace", "--fixture", "wedge", "--kind", "v", "--x", "1"]
         TRACE_V + ["--direction", "forward", "--t", "nan"],
         ["boundary", "--fixture", "wedge", "--grid", "1,40", "--window=0,1,0,1"],
         ["solve", "--fixture", "wedge", "--grid", "0,5"],
+        # grids past 10^6 points used to die with a numpy memory error
+        ["solve", "--fixture", "wedge", "--grid", "100000,100000", "--window=0,1,0,1"],
+        ["boundary", "--fixture", "wedge", "--grid", "100000,100000", "--window=0,1,0,1"],
         ["solve", "--fixture", "wedge", "--grid", "3,2", "--window=nan,1,0,1"],
         ["solve", "--fixture", "wedge", "--grid", "3,2", "--tol", "inf"],
         ["check", "--fixture", "seg-tent", "--times", "nan"],
@@ -363,6 +389,19 @@ def test_boundary_corners_stay_in_segment(tmp_path, grid):
     corners = json.loads(out.read_text())["corners"]
     assert corners
     assert all(0.0 <= c["x"] <= 2.0 and 0.0 <= c["t"] <= 4.0 for c in corners)
+
+
+def test_boundary_tent_corners_do_not_follow_the_grid(tmp_path):
+    # 120x120 used to report a tip at (1e-7, 0.303) that 40x40 did not
+    found = []
+    for grid in ("40,40", "120,120"):
+        out = tmp_path / f"tent{grid}.json"
+        assert run_cli(["boundary", "--fixture", "tent", "--grid", grid, "--window=0,2,0,4", "--out", str(out)]) == 0
+        found.append(sorted((c["kind"], c["x"], c["t"]) for c in json.loads(out.read_text())["corners"]))
+    assert found[0] and "tip" not in [kind for kind, _, _ in found[0]]
+    assert [kind for kind, _, _ in found[1]] == [kind for kind, _, _ in found[0]]
+    for (_, x, t), (_, x0, t0) in zip(found[1], found[0]):
+        assert abs(x - x0) <= 1e-9 and abs(t - t0) <= 1e-9
 
 
 def test_boundary_segment_corners_do_not_follow_the_grid(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from freezeflow import (
@@ -127,7 +128,6 @@ def parab_bset():
     return extract_boundaries(field, (0.8, 3.2, 0.0, 3.45), (130, 150), zone_epsilon=1e-4)
 
 
-@pytest.mark.slow
 class TestParabolaCorners:
     @pytest.fixture()
     def bset(self, parab_bset):
@@ -163,7 +163,6 @@ class TestParabolaCorners:
         assert abs(sl_right.thawing_slope - (-3.0)) <= 0.15
 
 
-@pytest.mark.slow
 class TestRampCorner:
     def test_thaw_freeze_corner(self):
         field = SolutionField(get_fixture("ramp").build(), tolerance=1e-8)
@@ -184,3 +183,73 @@ def test_one_sided_slope_skips_a_sample_on_the_corner(dtdx):
     slope, unbounded = _one_sided_slope(pts, (0.0, 0.0))
     assert math.isfinite(slope) and not unbounded
     assert abs(slope - dtdx) < 1e-12
+
+
+# corners of each fixture: kind, position, and (freezing, thawing) slope checks
+FT, TF, TIP = CornerKind.FREEZE_THAW, CornerKind.THAW_FREEZE, CornerKind.TIP
+ROOT3 = math.sqrt(3.0)
+
+
+def _rel(target, tol):
+    return lambda s, unbounded: not unbounded and abs(s - target) <= tol * abs(target)
+
+
+def _near(target, tol):
+    return lambda s, unbounded: not unbounded and abs(s - target) <= tol
+
+
+def _unbounded(s, unbounded):
+    return unbounded
+
+
+def _any(s, unbounded):
+    return True
+
+
+CORNER_TABLE = {
+    "wedge": ((-1.0, 5.0, 0.0, 1.5), [(FT, 0.0, 0.0, _near(1 / 3, 1e-9), _near(5 / 3, 1e-9))]),
+    "parabolas": (
+        (0.8, 3.2, 0.0, 3.45),
+        [
+            (FT, (4 - ROOT3) / 2, (4 - ROOT3) / 2, _rel(-1.0, 0.05), _rel(3.0, 0.05)),
+            (FT, (4 + ROOT3) / 2, (4 - ROOT3) / 2, _rel(1.0, 0.05), _rel(-3.0, 0.05)),
+            (TIP, 2.0, 2.0 + math.sqrt(1.5), _any, _any),
+        ],
+    ),
+    "ramp": ((-2.8, 0.4, 0.0, 2.9), [(TF, -2.0, 2.0, _near(0.0, 0.05), _unbounded)]),
+    "tent": ((0.0, 2.0, 0.0, 4.0), [(TF, 0.0, 1.0, _any, _unbounded), (TF, 2.0, 1.0, _any, _unbounded)]),
+    "seg-tent": ((0.0, 1.0, 0.0, 3.0), [(TF, 0.0, 0.5, _any, _unbounded), (TF, 1.0, 0.5, _any, _unbounded)]),
+    "downhill": (
+        (-1.0, 1.0, 0.0, 5.0),
+        [(TF, -1.0, 2.0, _any, _unbounded), (TF, 1.0, 2.0, _any, _unbounded), (FT, -1.0, 0.0, _any, _any), (FT, 1.0, 0.0, _any, _any)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_TABLE))
+def test_corners_are_exact_and_independent_of_the_grid(name):
+    window, expected = CORNER_TABLE[name]
+    field = SolutionField(get_fixture(name).build(), tolerance=1e-8)
+    coarse, fine = (extract_boundaries(field, window, grid, zone_epsilon=1e-4) for grid in ((40, 40), (130, 150)))
+    assert len(coarse.corners) == len(fine.corners)
+    for a, b in zip(coarse.corners, fine.corners):
+        assert a.kind is b.kind and abs(a.x - b.x) <= 1e-9 and abs(a.t - b.t) <= 1e-9
+        assert all(abs(p - q) <= 1e-9 for p, q in zip(a.slopes, b.slopes))
+    for kind, x, t, freezing_ok, thawing_ok in expected:
+        corner = min(coarse.corners, key=lambda c: math.hypot(c.x - x, c.t - t))
+        assert corner.kind is kind and math.hypot(corner.x - x, corner.t - t) <= 1e-3, (corner, kind, x, t)
+        sl = corner.slopes
+        assert freezing_ok(sl.freezing_slope, sl.freezing_unbounded) and thawing_ok(sl.thawing_slope, sl.thawing_unbounded), sl
+
+
+def test_parabolas_freezing_curve_is_exact(parab_bset):
+    # the sweep's freezing polyline against the meeting points of equal
+    # values, solved level by level
+    reference = freezing_curve_monotone_case(get_fixture("parabolas").build(), 0.0, 4.0)
+    (curve,) = parab_bset.freezing
+    xs, ts = zip(*curve.samples)
+    assert list(xs) == sorted(xs)
+    inside = [(x, t) for x, t in reference.samples if xs[0] <= x <= xs[-1]]
+    assert len(inside) > 150
+    for x, t in inside:
+        assert abs(float(np.interp(x, xs, ts)) - t) <= 1e-9, (x, t)

@@ -17,7 +17,7 @@ from freezeflow import (
     superlevel_set,
 )
 from freezeflow.fixtures import FIXTURES, wedge_v_exact, wedge_w_exact
-from freezeflow.levelset import extended_level_sets
+from freezeflow.levelset import _front, _front_table, _LevelPair, _stands, extended_level_sets
 
 PL = PiecewiseLinear
 INF = math.inf
@@ -532,3 +532,74 @@ class TestInversion:
             assert abs(value - expected) < 1e-12
             assert value == bisection_reference(field, x, t, None, False)
         assert field.eval_w(0.0, 1.0) == bisection_reference(field, 0.0, 1.0, None, True)
+
+
+def _fixtures_and_random_specs(n_random=6):
+    rng = np.random.default_rng(2024)
+    return [f.build() for f in FIXTURES.values()] + [random_pl_spec(rng) for _ in range(n_random)]
+
+
+def test_front_table_matches_front():
+    # _front_table encodes _front's branch order a second time, as arrays
+    for spec in _fixtures_and_random_specs():
+        ys = spec.v0.ys + spec.w0.ys
+        for b in np.linspace(min(ys), max(ys), 20):
+            pair = _LevelPair(spec, float(b))
+            for sl in (pair.vslice(), pair.wslice()):
+                P, T, F, R = _front_table(sl)
+                ts = sorted({0.0, *np.linspace(0.0, 10.0, 21).tolist(), *T[np.isfinite(T) & (T >= 0.0)].tolist()})
+                for k, comp in enumerate(sl.components):
+                    for t in ts:
+                        branch = next((i for i in range(T.shape[1]) if t <= T[k, i]), T.shape[1])
+                        front = F[k, branch] - R[k, branch] * t
+                        expected = _front(comp, t)
+                        assert (front if front >= P[k] else -INF) == (-INF if expected is None else expected)
+
+
+def _pieces(level, side):
+    """(x, first time, end) of every piece of one slice, in the problem's x."""
+    return [
+        (-x if side else x, first, min(last, death))
+        for comp in level.slice(side).components
+        for x, first, last, death in _stands(comp)
+    ]
+
+
+def test_v_and_w_pieces_agree_at_every_swept_level():
+    # a piece of either side starts to stand only where and while a piece of
+    # the other side stands, so both sides give a frozen segment the same x
+    # and the same freezing time
+    for spec in _fixtures_and_random_specs():
+        lo, hi = spec.breakpoint_span()
+        dom = spec.domain
+        x0, x1 = (dom.a1, dom.a2) if dom.is_segment else (lo - 4.0, hi + 4.0)
+        levels, _ = SolutionField(spec, tolerance=1e-9)._sweep(x0, x1)
+        for level in levels:
+            pieces = (_pieces(level, 0), _pieces(level, 1))
+            for side in (0, 1):
+                for x, first, end in pieces[side]:
+                    tiny = 1e-9 * (1.0 + abs(x) + abs(first))
+                    if end - first > tiny:
+                        assert any(
+                            abs(x2 - x) <= tiny and first2 - tiny <= first <= end2 + tiny
+                            for x2, first2, end2 in pieces[1 - side]
+                        ), (level.b, side, x, first)
+
+
+def test_frozen_segments_carry_their_level():
+    # inside a frozen segment of level b, v = w = b (walls of a segment domain
+    # are left out: points there are nudged inside, where the stack ends)
+    rng = np.random.default_rng(5)
+    for spec in _fixtures_and_random_specs():
+        field = SolutionField(spec, tolerance=1e-9)
+        lo, hi = spec.breakpoint_span()
+        dom = spec.domain
+        levels, _ = field._sweep(*((dom.a1, dom.a2) if dom.is_segment else (lo - 4.0, hi + 4.0)))
+        for level in levels[:: max(1, len(levels) // 8)]:
+            for x, firsts, ends, _ in level.frozen():
+                first, last = max(firsts), min(min(ends), max(firsts) + 5.0)
+                if last - first < 1e-6 or (dom.is_segment and min(x - dom.a1, dom.a2 - x) < 1e-9):
+                    continue
+                t = first + (last - first) * rng.uniform(0.1, 0.9)
+                v, w = field.eval_pair(x, t)
+                assert max(abs(v - level.b), abs(w - level.b)) <= field.zone_epsilon(), (level.b, x, t, v, w)

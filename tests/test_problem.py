@@ -30,6 +30,17 @@ class TestPiecewiseLinear:
         xs = np.array([-1.0, 0.25, 3.0])
         assert np.allclose(f(xs), [1.0, 0.5, 8.0])
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda f: f(math.nan), lambda f: f.min_max_on(math.nan, 1.0), lambda f: f.min_max_on(0.0, math.nan)],
+        ids=["call", "min_max_on-lo", "min_max_on-hi"],
+    )
+    def test_nan_argument_raises_value_error(self, call):
+        # these used to fail with IndexError deep inside the evaluation
+        f = PL([0.0, 1.0], [0.0, 2.0], left_slope=-1.0, right_slope=3.0)
+        with pytest.raises(ValueError, match="nan"):
+            call(f)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PL([1.0, 1.0], [0.0, 0.0])
