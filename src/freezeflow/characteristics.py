@@ -4,11 +4,15 @@ Characteristics of v move with slope 1 in the liquid zone (v > w) and slope
 0 in the frozen zone (v = w); w mirrors with slope -1.  v is constant along
 them, so the one carrying b = v(x, t) is read off the level sets of b: a
 trace inverts once for b and holds its label x - t between the level slices
-one bisection cell below and above b, riding their component ends (p + s
-for a left end, front(s) + s for a right end, still while the front
-retreats) and, inside a flat stretch of the data, moving at unit speed
-until an end passes it.  The path is sampled every dt with one field
-evaluation each.  Tracing is diagnostic: the solver never depends on it.
+at the two ends of that inversion's final bisection cell, riding their
+component ends (p + s for a left end, front(s) + s for a right end, still
+while the front retreats) and, inside a flat stretch of the data, moving at
+unit speed until an end passes it.  The path is sampled every dt.  Each
+sample is evaluated on the start's bracket while its own bracket lies inside
+it, so its value carries the start's tolerance: a label between the two
+slices is the start's answer, read from two membership probes of the cached
+slices, and any other label gets an inversion steered by that answer.
+Tracing is diagnostic: the solver never depends on it.
 
 A sample whose value leaves lam*dt + zone_epsilon of b makes a backward
 trace raise CharacteristicStepError and ends a forward trace, as does the
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
 
-from .levelset import SolutionField, _LevelPair, band_path
+from .levelset import SolutionField, band_path
 
 MAX_SAMPLES = 10**6  # samples one trace may take: 1000x the default step count
 
@@ -146,17 +150,34 @@ def _trace(
     char_tol = spec.lipschitz * dt + eps
     v_char = kind is CurveKind.V_CHAR
     ev = field_.eval_v if v_char else field_.eval_w
-    value = ev(x, t)
+    field_._check_point(x, t)
+    start = field_._bracket(x, t)
+    b_lo, b_hi = field_._cell(x, t, start, not v_char)
+    value = 0.5 * (b_lo + b_hi)
     zone0 = classify(field_, x, t, eps)
     flags = [(x, t, "boundary start")] if zone0 is ZoneLabel.BOUNDARY else []
-    # slices one final bisection cell of ev(x, t) below and above the value,
-    # so the exact value lies between them; w is v of the mirrored problem,
+    # the cached slices at the ends of the start's final cell, between which
+    # certification puts the exact value; w is v of the mirrored problem,
     # whose slice below the value holds the label
-    b_lo, b_hi = field_._bracket(x, t)
-    tau = field_.tolerance * max(1.0, b_hi - b_lo)
-    below, above = _LevelPair(spec, value - tau), _LevelPair(spec, value + tau)
-    sign, outer, inner = (1.0, above.vslice(), below.vslice()) if v_char else (-1.0, below.wslice(), above.wslice())
+    low, high = field_._pair(b_lo), field_._pair(b_hi)
+    sign, outer, inner = (1.0, high.vslice(), low.vslice()) if v_char else (-1.0, low.wslice(), high.wslice())
     path = band_path(outer, inner, sign * field_._nudge(x) - t, t)
+
+    def evaluate(xs, ts):
+        """The value at a sample, on the start's bracket when the sample's
+        own bracket lies inside it (always where its triangle does, to
+        within the rounding of a path that runs on the triangle's edge)."""
+        field_._check_point(xs, ts)
+        if abs(xs - x) > t - ts + 1e-12 * (abs(x) + t):
+            own = field_._bracket(xs, ts)
+            if not start[0] <= own[0] <= own[1] <= start[1]:
+                return ev(xs, ts, own)
+        # a label in the outer slice and not in the inner one decides every
+        # midpoint of bisection's path to [b_lo, b_hi] as the start's did
+        x0 = sign * field_._nudge(xs) - ts
+        if outer.membership(x0, ts) and not inner.membership(x0, ts):
+            return value
+        return field_._invert(xs, ts, start, not v_char, value)
     # backward traces on a segment end where the path meets the emitting feeder
     feeder = sign * (dom.a1 if v_char else dom.a2) if dom.is_segment and not forward else None
     h = 1e-6 * dt  # "just after" a sample, for its zone
@@ -180,7 +201,7 @@ def _trace(
             cur_t, r = lo, feeder
         if r is not None:
             cur_x = sign * r
-            cur_value = ev(cur_x, cur_t)
+            cur_value = evaluate(cur_x, cur_t)
         if r is None or abs(cur_value - value) > char_tol:
             if forward:
                 termination = "no value-preserving continuation"

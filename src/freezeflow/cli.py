@@ -45,6 +45,8 @@ class CliError(Exception):
 
 def _make_field(spec: ProblemSpec, tol: float) -> SolutionField:
     """Build the field, printing each validation warning to stderr."""
+    if not tol < 1.0:  # a final cell as wide as the values; inf and nan too
+        raise CliError(f"--tol must be below 1, got {tol!r}", EXIT_BAD_CONFIG)
     try:
         field = SolutionField(spec, tolerance=tol)
     except ValueError as exc:
@@ -259,8 +261,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.levels < 1:
-        raise CliError(f"--levels must be at least 1, got {args.levels}", EXIT_BAD_CONFIG)
+    if not 1 <= args.levels <= chars.MAX_SAMPLES:
+        raise CliError(f"--levels must be from 1 to {chars.MAX_SAMPLES}, got {args.levels}", EXIT_BAD_CONFIG)
     spec = _load_problem(args)
     rng = np.random.default_rng(args.seed)
     lo, hi = spec.breakpoint_span()
@@ -291,6 +293,11 @@ def cmd_pinned(args) -> int:
         raise CliError("--stride must be at least 1", EXIT_BAD_CONFIG)
     if args.steps < 0:
         raise CliError("--steps must be nonnegative", EXIT_BAD_CONFIG)
+    if args.steps > chars.MAX_SAMPLES:
+        raise CliError(f"--steps must be at most {chars.MAX_SAMPLES}, got {args.steps}", EXIT_BAD_CONFIG)
+    snapshots = 1 - (-args.steps // args.stride)  # the first, one per stride and the last
+    if args.n * snapshots > chars.MAX_SAMPLES:
+        raise CliError(f"--n {args.n} with {snapshots} snapshots writes more than {chars.MAX_SAMPLES} rows", EXIT_BAD_CONFIG)
     rng = np.random.default_rng(args.seed)
     state = balls.BallState(tuple(rng.standard_normal(args.n)), rng_seed=args.seed)
     final, snaps = balls.run(state, args.steps, np.random.default_rng(args.seed + 1), args.stride)
@@ -342,8 +349,15 @@ def cmd_examples(args) -> int:
 # -- parser -------------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line, as the subcommands report theirs."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="freezeflow", description=__doc__)
+    p = _Parser(prog="freezeflow", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -409,6 +423,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise CliError(f"--seed must be nonnegative, got {args.seed}", EXIT_BAD_CONFIG)
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -71,7 +71,7 @@ class BoundarySet:
     thawing: List[Curve] = field(default_factory=list)
     corners: List[Corner] = field(default_factory=list)
     cell_size: float = 0.0
-    warnings: List[str] = field(default_factory=list)
+    warnings: List[str] = field(default_factory=list)  # the field's validation warnings (flat segments)
 
 
 def _ends(seg):
@@ -318,7 +318,12 @@ def extract_boundaries(
     for pts in tracks[1]:
         cuts = [0] + _peaks(pts) + [len(pts) - 1]
         thawing += [pts[a:b + 1] for a, b in zip(cuts, cuts[1:])]
-    out = BoundarySet(curves(CurveKind.FREEZING, tracks[0]), curves(CurveKind.THAWING, thawing), cell_size=cell)
+    out = BoundarySet(
+        curves(CurveKind.FREEZING, tracks[0]),
+        curves(CurveKind.THAWING, thawing),
+        cell_size=cell,
+        warnings=list(field_.warnings),
+    )
     for c in _corners(ends, tracks[1]):
         if box[0] <= c.x <= box[1] and box[2] <= c.t <= box[3]:
             c.x, c.t = min(max(c.x, inner[0]), inner[1]), min(max(c.t, inner[2]), inner[3])

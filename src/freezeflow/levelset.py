@@ -823,7 +823,7 @@ class SolutionField:
     """Query object for v(x,t), w(x,t) and level sets of one problem.
 
     Values are bisection's answer in b over the monotone membership
-    predicate, found with few probes (see ``_invert``); the absolute
+    predicate, found with few probes (see ``_cell``); the absolute
     tolerance is ``tolerance`` scaled by the value range over the query's
     triangle of determinacy.  The object is immutable and all queries are
     pure, so concurrent reads are safe; the level-slice cache is a pure
@@ -893,43 +893,76 @@ class SolutionField:
     def eval_w(self, x: float, t: float, bracket: Optional[Tuple[float, float]] = None) -> float:
         return self._invert(x, t, bracket, True)
 
-    def _invert(self, x: float, t: float, bracket: Optional[Tuple[float, float]], reflected: bool) -> float:
-        """Bisection's answer in b over the membership predicate of one side.
+    def _invert(
+        self,
+        x: float,
+        t: float,
+        bracket: Optional[Tuple[float, float]],
+        reflected: bool,
+        guess: Optional[float] = None,
+    ) -> float:
+        """Bisection's answer in b over the membership predicate of one side:
+        the midpoint of its final cell (see ``_cell``)."""
+        l, h = self._cell(x, t, bracket, reflected, guess)
+        return 0.5 * (l + h)
+
+    def _pair(self, b: float) -> _LevelPair:
+        """The level pair at b, from the cache or built into it."""
+        cache = self._cache
+        pair = cache.get(b)
+        if pair is None:
+            if len(cache) > _CACHE_CAP:
+                cache.clear()
+            pair = _LevelPair(self.spec, b)
+            cache[b] = pair
+        return pair
+
+    def _cell(
+        self,
+        x: float,
+        t: float,
+        bracket: Optional[Tuple[float, float]],
+        reflected: bool,
+        guess: Optional[float] = None,
+    ) -> Tuple[float, float]:
+        """The final cell [l, h] of plain bisection in b over the membership
+        predicate of one side.
 
         The v side probes the sublevel slice at x - t, where membership
         rises with b.  w is v of the mirrored problem, so the w side probes
         the reflected slice at -(x + t), where membership falls with b.
 
-        The answer is the midpoint of the final cell of plain bisection from
-        the padded bracket, under the same step cap; only the way each
-        midpoint's side is learnt differs.  Membership is monotone in b, so
-        the probes so far certify a band (a, z): every level <= a lies below
-        the answer and every level >= z above it (the bracket ends count as
-        certified, as in plain bisection).  A midpoint outside the band is
-        decided without a probe.  Inside it, an estimate of the answer picks
-        the final cell [l, h] it falls in, and probing l and h certifies
-        the whole path down to that cell.  The first estimate is the
-        transport value, exact at liquid points.  Later ones are secants on
-        the probed slices' residuals: through the two latest probes when both
-        moved the same end of the band (a missed cell's ends give the local
-        slope), else false position between a and z.  A step that does not
+        The cell is plain bisection's from the padded bracket, under the
+        same step cap; only the way each midpoint's side is learnt differs.
+        Membership is monotone in b, so the probes so far certify a band
+        (a, z): every level <= a lies below the answer and every level >= z
+        above it (the bracket ends count as certified, as in plain
+        bisection).  A midpoint outside the band is decided without a probe.
+        Inside it, an estimate of the answer picks the final cell [l, h] it
+        falls in, and probing l and h certifies the whole path down to that
+        cell.  The first estimate is ``guess``, by default the transport
+        value, exact at liquid points.  Later ones are secants on the probed
+        slices' residuals: through the two latest probes when both moved the
+        same end of the band (a missed cell's ends give the local slope),
+        else false position between a and z.  A step that does not
         halve the band is followed by one plain bisection probe.  Steering
         stops once the probes so far plus the plain steps still needed to
         close the band exceed plain bisection's depth by 14, so an
         evaluation takes at most about 16 probes more than plain bisection.
-        The residual only steers: a wrong one costs probes, never the answer.
+        The guess and the residual only steer: a wrong one costs probes,
+        never the answer.
         """
         self._check_point(x, t)
         lo, hi = bracket if bracket is not None else self._bracket(x, t)
         lo, hi, tol = _padded(lo, hi, self.tolerance)
         budget = min(math.log2((hi - lo) / tol), _MAX_BISECT) + 14  # plain depth + 14
-        cache = self._cache
-        spec = self.spec
         xn = self._nudge(x)
         if reflected:
-            x0, side, sign, guess = -(xn + t), _LevelPair.wslice, -1.0, spec.w0(xn + t)
+            x0, side, sign = -(xn + t), _LevelPair.wslice, -1.0
         else:
-            x0, side, sign, guess = xn - t, _LevelPair.vslice, 1.0, spec.v0(xn - t)
+            x0, side, sign = xn - t, _LevelPair.vslice, 1.0
+        if guess is None:
+            guess = self.spec.w0(xn + t) if reflected else self.spec.v0(xn - t)
         a, z = lo, hi
         probed = []  # [level, slice, residual or None] per probe, latest last
         ia = iz = -1  # which probes set a and z (-1: still the bracket end)
@@ -953,7 +986,7 @@ class SolutionField:
                     break
                 depth += 1
             else:
-                return 0.5 * (lo + hi)
+                return lo, hi
             est = None if probed else guess
             n = len(probed)
             # the plain steps left never exceed plain depth, so the first 14
@@ -985,20 +1018,14 @@ class SolutionField:
             for b in levels:
                 if not a < b < z:
                     continue
-                pair = cache.get(b)
-                if pair is None:
-                    if len(cache) > _CACHE_CAP:
-                        cache.clear()
-                    pair = _LevelPair(spec, b)
-                    cache[b] = pair
-                sl = side(pair)
+                sl = side(self._pair(b))
                 probed.append([b, sl, None])
                 if sl.membership(x0, t) != reflected:
                     z, iz = b, len(probed) - 1
                 else:
                     a, ia = b, len(probed) - 1
             if est is not None and a >= l and z <= h:
-                return 0.5 * (l + h)  # the band decides every midpoint down to [l, h]
+                return l, h  # the band decides every midpoint down to [l, h]
             plain = est is not None and z - a > 0.5 * width
 
     def eval_pair(self, x: float, t: float) -> Tuple[float, float]:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from freezeflow import (
@@ -16,6 +17,9 @@ from freezeflow import (
     trace_forward_v,
     trace_forward_w,
 )
+from freezeflow.diagnostics import random_pl_spec
+from freezeflow.fixtures import FIXTURES
+from freezeflow.levelset import _LevelPair
 
 PL = PiecewiseLinear
 
@@ -247,3 +251,54 @@ def test_tracers_bound_their_samples(wedge_field, tracer, kwargs):
     # memory, and a nan horizon would never be reached
     with pytest.raises(ValueError, match="samples"):
         tracer(wedge_field, 1.0, 1.0, **kwargs)
+
+
+def _trace_problems():
+    """Every fixture, with its horizon, and 6 seeded random specs."""
+    problems = [(name, FIXTURES[name].build(), FIXTURES[name].horizon) for name in sorted(FIXTURES)]
+    rng = np.random.default_rng(4242)
+    return problems + [(f"random-{k}", random_pl_spec(rng), 2.0) for k in range(6)]
+
+
+TRACE_PROBLEMS = _trace_problems()
+
+
+@pytest.mark.parametrize("name, spec, horizon", TRACE_PROBLEMS, ids=[p[0] for p in TRACE_PROBLEMS])
+def test_samples_are_bisection_on_the_start_bracket(name, spec, horizon):
+    # every sample of a backward trace is evaluated on the start's bracket;
+    # a forward sample is too while its own bracket stays inside the start's,
+    # and on its own bracket after that
+    field = SolutionField(spec)
+    dom = spec.domain
+    lo, hi = (dom.a1, dom.a2) if dom.is_segment else np.add(spec.breakpoint_span(), (-1.0, 1.0))
+    rng = np.random.default_rng(sum(map(ord, name)))
+    x, t = float(rng.uniform(lo, hi)), float(rng.uniform(0.1, horizon))
+    start = field._bracket(x, t)
+    for kind, tracer, ev in (("v", trace_backward_v, field.eval_v), ("w", trace_backward_w, field.eval_w)):
+        c = tracer(field, x, t)
+        assert c.termination in ("reached t=0", "left boundary", "right boundary")
+        for (xs, ts), value in zip(c.samples, c.values):
+            assert value == ev(xs, ts, start), (kind, xs, ts)
+    for kind, tracer, ev in (("v", trace_forward_v, field.eval_v), ("w", trace_forward_w, field.eval_w)):
+        c = tracer(field, x, t, dt=0.01)
+        for (xs, ts), value in zip(c.samples, c.values):
+            own = field._bracket(xs, ts)
+            inside = start[0] <= own[0] and own[1] <= start[1]
+            assert value == ev(xs, ts, start if inside else own), (kind, xs, ts)
+
+
+def test_wedge_traces_build_few_levels(monkeypatch):
+    # the samples of a trace reuse the start's two cached levels; one
+    # inversion per sample built 4,005 levels for these two traces
+    built = []
+    init = _LevelPair.__init__
+
+    def counted(self, spec, b):
+        built.append(b)
+        init(self, spec, b)
+
+    monkeypatch.setattr(_LevelPair, "__init__", counted)
+    field = SolutionField(get_fixture("wedge").build())
+    cv, cw = trace_backward_v(field, 4.0, 1.0), trace_backward_w(field, 4.0, 1.0)
+    assert len(cv.samples) == len(cw.samples) == 1001
+    assert len(built) <= 10

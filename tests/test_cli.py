@@ -93,7 +93,7 @@ STABLE_OUTPUTS = [
     ("solve --fixture frozen-ramp --grid 41,21", "eb44e34ae30fc008acef96ca0e08182d609614792de368111427f4e9e8b40ef2"),
     ("solve --fixture uniform-gap --grid 41,21", "19861a2c35a25a7754e31e8f58f513248b99a1ba9f708258c55067c525777bb7"),
     ("solve --fixture thawline --grid 41,21", "1f07788e8954c3a0ffe9ebf979df8391745bd2f9380ff5c26d5c6261d2e4aded"),
-    ("trace --fixture wedge --kind v --direction backward --x 4 --t 1", "671248508185c919eb4fcf5cd4d9321a6c98378bbb4a597db2e39e25fbe2effe"),
+    ("trace --fixture wedge --kind v --direction backward --x 4 --t 1", "e1a7717ea91b49d372c3ca392b1998038e6585af8128c76a7627cb9efa22734e"),
     ("oracle --fixture tent --levels 20 --seed 1", "3a0abb50993e83be809ecd8914609c7e2321c3266fe4d667d94d83f7af42ed84"),
     ("solve --fixture wedge --grid 201,101 --window=-5,5,0,2", "0d3f4fede8c131c8a86f275331cec1b966fa752a36053cef89bf8949d44cfc53"),
     ("solve --fixture parabolas --grid 40,40 --window=0.8,2.0,0.4,2.0 --tol 1e-7", "9e14963a4005b252f30b5a166a8d59760f002b34f5e87922a2dcfed0d1bcf8ca"),
@@ -207,6 +207,44 @@ def test_generated_grid_arguments_exit_cleanly(command, fixture, grid, window, t
     )
     assert proc.returncode in (0, 2, 3, 4), proc.stderr
     assert proc.stderr.count("\n") == (proc.returncode != 0) and "Traceback" not in proc.stderr, proc.stderr
+
+
+# 0, negative, small, huge and non-finite values; the integer options reject
+# the non-finite ones and "1e300" as they parse
+SAMPLING_NUMBERS = st.sampled_from(["0", "-1", "1", "3", "1" + "0" * 30, "1e300", "nan", "inf", "-inf"])
+TIMES = st.lists(SAMPLING_NUMBERS, min_size=1, max_size=3).map(",".join)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    argv=st.one_of(
+        st.tuples(
+            st.just("check"),
+            st.fixed_dictionaries({}, optional={"--tol": SAMPLING_NUMBERS, "--times": TIMES, "--seed": SAMPLING_NUMBERS}),
+        ),
+        st.tuples(
+            st.just("oracle"), st.fixed_dictionaries({}, optional={"--levels": SAMPLING_NUMBERS, "--seed": SAMPLING_NUMBERS})
+        ),
+        st.tuples(
+            st.just("pinned-balls"),
+            st.fixed_dictionaries(
+                {}, optional={"--n": SAMPLING_NUMBERS, "--steps": SAMPLING_NUMBERS, "--stride": SAMPLING_NUMBERS, "--seed": SAMPLING_NUMBERS}
+            ),
+        ),
+    ),
+    fixture=st.sampled_from(["wedge", "seg-tent"]),
+)
+def test_generated_sampling_arguments_exit_cleanly(argv, fixture):
+    command, numbers = argv
+    env = dict(os.environ, PYTHONPATH=str(Path(freezeflow.__file__).parents[1]))
+    args = [command] + ([] if command == "pinned-balls" else ["--fixture", fixture])
+    args += [f"{flag}={value}" for flag, value in numbers.items()] + ["--out", os.devnull]
+    proc = subprocess.run(
+        [sys.executable, "-m", "freezeflow.cli", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    # 1 is check's documented code for failed checks, as at times past 1e300
+    assert proc.returncode in ((0, 1, 2, 3, 4) if command == "check" else (0, 2, 3, 4)), proc.stderr
+    assert proc.stderr.count("\n") == (proc.returncode > 1) and "Traceback" not in proc.stderr, proc.stderr
 
 
 LINE = {"breakpoints": [0.0], "values": [0.0], "left_slope": 1.0, "right_slope": 1.0}
@@ -372,6 +410,15 @@ TRACE_V = ["trace", "--fixture", "wedge", "--kind", "v", "--x", "1"]
         TRACE_V + ["--direction", "backward", "--t", "1e300", "--dt", "1"],
         TRACE_V + ["--direction", "forward", "--t", "0", "--t-end", "1e300", "--dt", "1"],
         ["oracle", "--fixture", "tent", "--tol", "-1"],
+        # these raised numpy errors with a traceback
+        ["oracle", "--fixture", "tent", "--levels", "1" + "0" * 30],
+        ["pinned-balls", "--n", "1" + "0" * 30],
+        ["pinned-balls", "--steps", "1" + "0" * 30],
+        ["check", "--fixture", "seg-tent", "--seed", "-1"],
+        ["oracle", "--fixture", "tent", "--seed", "-1"],
+        ["pinned-balls", "--seed", "-1"],
+        # values far beyond the data overflowed in the momentum and energy check
+        ["check", "--fixture", "seg-tent", "--tol", "1e300"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -436,6 +483,10 @@ def test_flat_segment_warns_on_stderr(tmp_path, capsys):
     assert run_cli(["solve", "--problem", str(path), "--grid", "3,2", "--window=0,3,0,1", "--out", str(out)]) == 0
     err = capsys.readouterr().err.splitlines()
     assert err == ["warning: v0 flat on [1, 2]"]
+    # the boundary JSON carries the same warning
+    out = tmp_path / "bset.json"
+    assert run_cli(["boundary", "--problem", str(path), "--grid", "3,2", "--window=0,3,0,1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["warnings"] == ["v0 flat on [1, 2]"]
 
 
 def test_readme_cli_examples_parse():
