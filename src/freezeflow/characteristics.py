@@ -160,7 +160,7 @@ def _trace(
     # certification puts the exact value; w is v of the mirrored problem,
     # whose slice below the value holds the label
     low, high = field_._pair(b_lo), field_._pair(b_hi)
-    sign, outer, inner = (1.0, high.vslice(), low.vslice()) if v_char else (-1.0, low.wslice(), high.wslice())
+    sign, outer, inner = (1.0, high.slice(0), low.slice(0)) if v_char else (-1.0, low.slice(1), high.slice(1))
     path = band_path(outer, inner, sign * field_._nudge(x) - t, t)
 
     def evaluate(xs, ts):

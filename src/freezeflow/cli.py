@@ -252,7 +252,10 @@ def cmd_check(args) -> int:
             raise CliError(f"--times: not numeric: {args.times!r}", EXIT_BAD_CONFIG)
         if not all(0 <= t < math.inf for t in times):
             raise CliError("--times must be finite and nonnegative", EXIT_BAD_CONFIG)
-    reports = diag.run_default_checks(field, seed=args.seed, times=times)
+    try:
+        reports = diag.run_default_checks(field, seed=args.seed, times=times)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_BAD_CONFIG)
     _write(args.out, _json_text([r.to_json() for r in reports]))
     return 0 if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 

@@ -56,7 +56,8 @@ def check_momentum_energy(
 
     Both are conserved exactly by the dynamics; the reported bound is the
     midpoint-rule error for piecewise-linear integrands, which is confined to
-    the cells containing kinks.
+    the cells containing kinks.  Raises ValueError where the integrals or
+    their bounds overflow.
     """
     spec = field.spec
     if not spec.domain.is_segment:
@@ -70,18 +71,24 @@ def check_momentum_energy(
     m_scale = max(abs(v_hi + w_hi), abs(v_lo + w_lo), 1.0)
     n_kinks = spec.v0.n + spec.w0.n + 8
     mu_bound = n_kinks * lam * h * h
-    en_bound = (a2 - a1) * h * h * (2 * lam) ** 2 / 24.0 + n_kinks * 4.0 * m_scale * lam * h * h
+    try:
+        en_bound = (a2 - a1) * h * h * (2 * lam) ** 2 / 24.0 + n_kinks * 4.0 * m_scale * lam * h * h
+    except OverflowError:  # float ** raises where * gives inf; reported below
+        en_bound = math.inf
     mus, ens = [], []
     for t in times:
         V, W = field.eval_grid(xs, [t])
-        mu = V[0] + W[0]
-        sg = V[0] - W[0]
-        mus.append(h * float(np.sum(mu)))
-        ens.append(h * float(np.sum(mu * mu + sg * sg)))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            mu = V[0] + W[0]
+            sg = V[0] - W[0]
+            mus.append(h * float(np.sum(mu)))
+            ens.append(h * float(np.sum(mu * mu + sg * sg)))
     dev_mu = max(abs(m - mus[0]) for m in mus)
     dev_en = max(abs(e - ens[0]) for e in ens)
     # solver tolerance enters linearly through the integrand values
     tol_term = 2.0 * field.tolerance * max(1.0, v_hi - w_lo) * (a2 - a1)
+    if not all(map(math.isfinite, (*mus, *ens, dev_mu, dev_en, en_bound, 8 * m_scale * tol_term))):
+        raise ValueError("the momentum or energy integral overflows: the values are too large")
     return (
         CheckReport.from_measure(
             "momentum", dev_mu, mu_bound + 4 * tol_term, f"integral of mu at t={list(times)}"

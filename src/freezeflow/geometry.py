@@ -75,7 +75,7 @@ class BoundarySet:
 
 
 def _ends(seg):
-    """The lower and the upper end of a frozen segment from ``_Level.frozen``."""
+    """The lower and the upper end of a frozen segment from ``_LevelPair.frozen``."""
     return (seg[0], max(seg[1])), (seg[0], min(seg[2]))
 
 

@@ -30,11 +30,12 @@ every step of that bisection, while a secant on the signed distance to the
 surviving labels chooses which steps need a probe, so a value takes a few
 probes instead of one per step.
 
-A grid needs fewer levels still.  Two levels whose signatures are equal
-(which piece of the data each level-interval end sits on, the order of the
-nodes, and the branch outcomes inside the component structure) certify
-that every end is affine in b between them, so the value of each grid
-point whose membership changes there follows in closed form.  The shared
+Everything known at one level b is one object, cached per field for every
+query.  A grid needs fewer levels still.  Two levels with no critical value
+of the data between them and equal signatures (the order of the nodes and
+the branch outcomes inside the component structure) certify that every end
+is affine in b between them, so the value of each grid point whose
+membership changes there follows in closed form.  The shared
 bracket is split on bisection's lattice only until each value lies in such
 a cell or in a final cell, and each exact value is snapped to bisection's
 answer, with a real probe where a midpoint comes close to it.  The same
@@ -183,17 +184,18 @@ class _LevelSlice:
     decreasing piecewise-linear function of x.  The pieces are computed once
     by walking the integrand profile to the right of q, and every query
     reads them through ``_front``.  The left-moving superlevel side reuses
-    this via reflection.
+    this via reflection.  ``codes`` holds the branch codes of every
+    component in turn, each followed by -1.
     """
 
-    __slots__ = ("components", "comp_los")
+    __slots__ = ("components", "comp_los", "codes")
 
-    def __init__(self, blue, nodes, kvals, codes=None):
+    def __init__(self, blue, nodes, kvals):
         self.components = []
+        self.codes: list = []
         for (p, q) in blue:
-            self.components.append(_component_structure(nodes, kvals, p, q, codes))
-            if codes is not None:
-                codes.append(-1)
+            self.components.append(_component_structure(nodes, kvals, p, q, self.codes))
+            self.codes.append(-1)
         self.comp_los = [c[0] for c in self.components]
 
     def membership(self, x0: float, t: float) -> bool:
@@ -238,12 +240,12 @@ class _LevelSlice:
         return -min(x0 - left, right - x0)
 
 
-def _component_structure(nodes, kvals, p, q, codes=None):
+def _component_structure(nodes, kvals, p, q, codes):
     """Alpha pieces for one component [p, q] of the moving set.
 
     Levels are parameterized by c = x - q in [c_floor, 0]; piece
     (c_hi, c_lo, y_base) encodes alpha(c) = y_base + (c_hi - c) for
-    c in (c_lo, c_hi].  Levels c <= c_end are never annihilated.  A list
+    c in (c_lo, c_hi].  Levels c <= c_end are never annihilated.  The list
     ``codes`` receives the outcome of the three comparisons made in each
     descending region, which fix how the results are formed from the nodes.
     """
@@ -262,8 +264,7 @@ def _component_structure(nodes, kvals, p, q, codes=None):
         if k < 0:
             lo_level = gs - length  # -inf on an infinite descent
             hi_level = mcur if mcur < gs else gs
-            if codes is not None:
-                codes.append((mcur < gs) + 2 * (hi_level > lo_level) + 4 * (lo_level < mcur))
+            codes.append((mcur < gs) + 2 * (hi_level > lo_level) + 4 * (lo_level < mcur))
             if hi_level > lo_level:
                 y_base = pos + (gs - hi_level)
                 pieces.append((hi_level, lo_level, y_base))
@@ -379,40 +380,98 @@ def band_path(outer: "_LevelSlice", inner: "_LevelSlice", x0: float, t: float):
 
 
 class _LevelPair:
-    """Both survival slices at one level b, sharing the integrand regions.
+    """Everything known at one level b, each part built on first use.
 
-    The superlevel side is the mirror image of the sublevel side: with
+    ``slice(0)`` is the v slice and ``slice(1)`` the w slice.  The
+    superlevel side is the mirror image of the sublevel side: with
     K~(u) = -K(-u) the left-moving set becomes a right-moving one, so a
     single slice implementation serves both after reflection.
+
+    The signature is the level's combinatorial structure apart from t and
+    from which piece of v0 or w0 each end sits on: which ends share each
+    node, ``kvals``, and the branch codes that each slice records as it is
+    built.  If two levels have equal signatures (``same``) and no critical
+    value lies between them (so every level-interval end stays on one
+    piece), every comparison made in building them has the same outcome at
+    both and compares affine functions of b, so along the levels between
+    them every end, node and piece is the affine interpolation of its
+    values at the two.
     """
 
-    __slots__ = ("blue", "red", "nodes", "kvals", "_v", "_w")
+    __slots__ = ("b", "blue", "red", "nodes", "kvals", "_v", "_w", "_tables", "_pattern", "_frozen")
 
     def __init__(self, spec: ProblemSpec, b: float):
+        self.b = b
         self.blue, self.red = extended_level_sets(spec, b)
         self.nodes, self.kvals = _k_regions(self.blue, self.red)
-        self._v: Optional[_LevelSlice] = None
-        self._w: Optional[_LevelSlice] = None
+        self._v = self._w = self._tables = self._pattern = self._frozen = None
 
-    def vslice(self, codes=None) -> _LevelSlice:
-        if self._v is None or codes is not None:
-            self._v = _LevelSlice(self.blue, self.nodes, self.kvals, codes)
+    def slice(self, side: int) -> _LevelSlice:
+        """The v (0) or the reflected w (1) slice."""
+        if side:
+            if self._w is None:
+                blue_r = [(-hi, -lo) for lo, hi in reversed(self.red)]
+                nodes_r = [-n for n in reversed(self.nodes)]
+                kvals_r = [-k for k in reversed(self.kvals)]
+                self._w = _LevelSlice(blue_r, nodes_r, kvals_r)
+            return self._w
+        if self._v is None:
+            self._v = _LevelSlice(self.blue, self.nodes, self.kvals)
         return self._v
 
-    def wslice(self, codes=None) -> _LevelSlice:
-        if self._w is None or codes is not None:
-            blue_r = [(-hi, -lo) for lo, hi in reversed(self.red)]
-            nodes_r = [-n for n in reversed(self.nodes)]
-            kvals_r = [-k for k in reversed(self.kvals)]
-            self._w = _LevelSlice(blue_r, nodes_r, kvals_r, codes)
-        return self._w
+    def pattern(self) -> tuple:
+        """Which ends share each node (1 blue, 2 red, 3 both), and ``kvals``."""
+        if self._pattern is None:
+            blue_ends = {x for iv in self.blue for x in iv}
+            red_ends = {x for iv in self.red for x in iv}
+            self._pattern = (tuple((n in blue_ends) + 2 * (n in red_ends) for n in self.nodes), tuple(self.kvals))
+        return self._pattern
+
+    def same(self, other: "_LevelPair") -> bool:
+        """Equal signatures: the structure is affine in b between the two
+        unless a critical value lies in between."""
+        return self.pattern() == other.pattern() and all(self.slice(s).codes == other.slice(s).codes for s in (0, 1))
+
+    def table(self, side: int):
+        """``_front_table`` of one slice."""
+        if self._tables is None:
+            self._tables = [None, None]
+        if self._tables[side] is None:
+            self._tables[side] = _front_table(self.slice(side))
+        return self._tables[side]
+
+    def frozen(self) -> list:
+        """The frozen segments of this level, in the v slice's order.
+
+        Where a v piece and a w piece stand at the same x (``_stands``),
+        v = w = b from the later of their first times to the earliest of
+        their last times and deaths.  Returns (x, firsts, ends, key) per
+        such pair, with firsts = (v first, w first), ends = (v last, v death,
+        w last, w death) and key the (component, piece) indices of the v
+        piece and then the w piece; a pair whose times do not overlap is
+        kept, with a negative length.
+        """
+        if self._frozen is None:
+            w = sorted(
+                (-x, first, ends, (k, i))
+                for k, comp in enumerate(self.slice(1).components)
+                for i, (x, first, *ends) in enumerate(_stands(comp))
+            )
+            w_xs = [s[0] for s in w]
+            self._frozen = []
+            for k, comp in enumerate(self.slice(0).components):
+                for i, (x, first, *ends) in enumerate(_stands(comp)):
+                    tiny = _MATCH * (1.0 + abs(x))
+                    for j in range(bisect_left(w_xs, x - tiny), bisect_right(w_xs, x + tiny)):
+                        self._frozen.append((x, (first, w[j][1]), (*ends, *w[j][2]), (k, i) + w[j][3]))
+        return self._frozen
 
 
 def sublevel_set(spec: ProblemSpec, b: float, t: float) -> IntervalUnion:
     """A(v,b,t): surviving sublevel points transported to the right by t."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    sl = _LevelPair(spec, b).vslice()
+    sl = _LevelPair(spec, b).slice(0)
     moved = [(lo + t, hi + t) for lo, hi in sl.survivors(t)]
     out = IntervalUnion(moved)
     if spec.domain.is_segment:
@@ -424,7 +483,7 @@ def superlevel_set(spec: ProblemSpec, b: float, t: float) -> IntervalUnion:
     """A(w,b,t): surviving superlevel points transported to the left by t."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    sl = _LevelPair(spec, b).wslice()
+    sl = _LevelPair(spec, b).slice(1)
     moved = IntervalUnion([(lo + t, hi + t) for lo, hi in sl.survivors(t)]).reflect()
     if spec.domain.is_segment:
         moved = moved.clip(spec.domain.a1, spec.domain.a2)
@@ -547,116 +606,6 @@ def _finite_abs(a):
     return np.where(np.isfinite(a), np.abs(a), 0.0)
 
 
-def critical_values(spec: ProblemSpec) -> List[float]:
-    """Every breakpoint value of v0 and w0, and on a segment their values at
-    its ends, sorted: the levels where a level-interval end changes piece."""
-    values = set(spec.v0.ys) | set(spec.w0.ys)
-    if spec.domain.is_segment:
-        values |= {f(a) for f in (spec.v0, spec.w0) for a in (spec.domain.a1, spec.domain.a2)}
-    return sorted(values)
-
-
-class _Level:
-    """One level of a sweep in b: its pair, signature, slices and tables.
-
-    The signature is the level's combinatorial structure apart from t.  Its
-    first part, ``gap``, counts the critical values (every breakpoint value
-    of v0 and w0, and their values at the segment ends) at or below b: two
-    levels that agree there have every level-interval end on the same piece
-    of v0 or w0.  Then come which ends share each node, ``kvals``, and the
-    branch codes that each slice records as it is built.  If two levels
-    agree in all of it (``same``), every comparison made in building their
-    pairs has the same outcome at both and compares affine functions of b,
-    so along the levels between them every end, node and piece is the
-    affine interpolation of its values at the two.
-    """
-
-    __slots__ = ("b", "pair", "gap", "_nodes", "_slices", "_codes", "_fronts", "_tables", "_frozen")
-
-    def __init__(self, spec: ProblemSpec, b: float, critical: Sequence[float]):
-        self.b = b
-        self.pair = _LevelPair(spec, b)
-        self.gap = bisect_right(critical, b)
-        self._nodes: Optional[tuple] = None
-        self._slices: list = [None, None]
-        self._codes: list = [None, None]
-        self._fronts: list = [None, None]
-        self._tables: list = [None, None]
-        self._frozen: Optional[list] = None
-
-    def nodes(self) -> tuple:
-        """Which ends share each node (1 blue, 2 red, 3 both), and ``kvals``."""
-        if self._nodes is None:
-            pair = self.pair
-            blue_ends = {x for iv in pair.blue for x in iv}
-            red_ends = {x for iv in pair.red for x in iv}
-            pattern = tuple((n in blue_ends) + 2 * (n in red_ends) for n in pair.nodes)
-            self._nodes = (pattern, tuple(pair.kvals))
-        return self._nodes
-
-    def slice(self, side: int) -> _LevelSlice:
-        """The v (0) or w (1) slice, built once with its branch codes."""
-        if self._slices[side] is None:
-            codes: list = []
-            self._slices[side] = self.pair.wslice(codes) if side else self.pair.vslice(codes)
-            self._codes[side] = codes
-        return self._slices[side]
-
-    def codes(self, side: int) -> list:
-        self.slice(side)
-        return self._codes[side]
-
-    def same(self, other: "_Level", gap: bool = True) -> bool:
-        """Equal signatures: the whole structure is affine in b between the two.
-
-        ``gap=False`` leaves out the count of critical values, for two levels
-        with no critical value strictly between them: an end that reaches a
-        breakpoint at one of them is still affine up to it.
-        """
-        if (gap and self.gap != other.gap) or self.nodes() != other.nodes():
-            return False
-        return all(self.codes(side) == other.codes(side) for side in (0, 1))
-
-    def frozen(self) -> list:
-        """The frozen segments of this level, in the v slice's order.
-
-        Where a v piece and a w piece stand at the same x (``_stands``),
-        v = w = b from the later of their first times to the earliest of
-        their last times and deaths.  Returns (x, firsts, ends, key) per
-        such pair, with firsts = (v first, w first), ends = (v last, v death,
-        w last, w death) and key the (component, piece) indices of the v
-        piece and then the w piece; a pair whose times do not overlap is
-        kept, with a negative length.
-        """
-        if self._frozen is None:
-            w = sorted(
-                (-x, first, ends, (k, i))
-                for k, comp in enumerate(self.slice(1).components)
-                for i, (x, first, *ends) in enumerate(_stands(comp))
-            )
-            w_xs = [s[0] for s in w]
-            self._frozen = []
-            for k, comp in enumerate(self.slice(0).components):
-                for i, (x, first, *ends) in enumerate(_stands(comp)):
-                    tiny = _MATCH * (1.0 + abs(x))
-                    for j in range(bisect_left(w_xs, x - tiny), bisect_right(w_xs, x + tiny)):
-                        self._frozen.append((x, (first, w[j][1]), (*ends, *w[j][2]), (k, i) + w[j][3]))
-        return self._frozen
-
-    def fronts(self, side: int, ts) -> np.ndarray:
-        """Every component's front at every grid time, -inf where it is dead."""
-        if self._fronts[side] is None:
-            comps = self.slice(side).components
-            fronts = [[-INF if f is None else f for f in (_front(c, t) for t in ts)] for c in comps]
-            self._fronts[side] = np.array(fronts).reshape(len(comps), len(ts))
-        return self._fronts[side]
-
-    def table(self, side: int):
-        if self._tables[side] is None:
-            self._tables[side] = _front_table(self.slice(side))
-        return self._tables[side]
-
-
 class _RowProfiles:
     """Bisection's answers at every point of one grid, from a few levels.
 
@@ -677,40 +626,44 @@ class _RowProfiles:
     bisection's outcome.
     """
 
-    def __init__(self, spec: ProblemSpec, xn, ts):
-        self.spec = spec
-        self.ts = list(ts)
-        tt = np.array(self.ts)[:, None]
-        self.shape = (len(self.ts), len(xn))
+    def __init__(self, field: "SolutionField", xn, ts):
+        self.level = field._pair
+        self.critical = field._critical
+        self.ts = np.array(ts)
+        tt = self.ts[:, None]
+        self.shape = (len(ts), len(xn))
         self.t = np.broadcast_to(tt, self.shape).ravel()
-        self.rows = np.repeat(np.arange(len(self.ts)), len(xn))
+        self.rows = np.repeat(np.arange(len(ts)), len(xn))
         self.x0 = ((xn[None, :] - tt).ravel(), (-(xn[None, :] + tt)).ravel())
-        self.critical = critical_values(spec)
-        self.levels: dict = {}
 
-    def level(self, b: float) -> _Level:
-        lv = self.levels.get(b)
-        if lv is None:
-            lv = self.levels[b] = _Level(self.spec, b, self.critical)
-        return lv
-
-    def members(self, lv: _Level, side: int, idx):
+    def members(self, lv: _LevelPair, side: int, idx):
         """``membership`` of the given points on one slice of a level.
 
-        Few points are probed one by one; many read a table of every
-        component's front at every grid time.
+        Few points are probed one by one; many read every component's front
+        at every grid time off the level's front table.
         """
         if not len(idx):
             return np.zeros(0, dtype=bool)
-        sl = lv.slice(side)
         x0 = self.x0[side][idx]
         if len(idx) <= _FEW:
+            sl = lv.slice(side)
             return np.array([sl.membership(a, t) for a, t in zip(x0.tolist(), self.t[idx].tolist())], dtype=bool)
-        k = np.searchsorted(np.array(sl.comp_los), x0, side="right") - 1
-        fronts = lv.fronts(side, self.ts)
-        if not len(fronts):
+        P, T, F, R = lv.table(side)
+        if not len(P):
             return np.zeros(len(idx), dtype=bool)
+        branch = np.full((len(P), len(self.ts)), T.shape[1])
+        for i in range(T.shape[1] - 1, -1, -1):  # the first threshold that t does not exceed wins
+            branch = np.where(self.ts <= T[:, i:i + 1], i, branch)
+        fronts = np.take_along_axis(F, branch, 1) - np.take_along_axis(R, branch, 1) * self.ts
+        # a dead component's front lies left of its p, so left of x0 too
+        k = np.searchsorted(P, x0, side="right") - 1
         return (k >= 0) & (x0 <= fronts[np.maximum(k, 0), self.rows[idx]])
+
+    def affine(self, low: _LevelPair, high: _LevelPair) -> bool:
+        """Equal signatures and no critical value in (low.b, high.b]: every
+        end is affine in b from one level to the other."""
+        i = bisect_right(self.critical, low.b)
+        return (i == len(self.critical) or self.critical[i] > high.b) and low.same(high)
 
     def values(self, lo: float, hi: float, tol: float):
         every = np.arange(self.t.size)
@@ -721,50 +674,49 @@ class _RowProfiles:
         C = [np.where(at_lo[0], -INF, INF), np.where(at_hi[1], INF, -INF)]
         inside = (np.flatnonzero(at_hi[0] & ~at_lo[0]), np.flatnonzero(at_lo[1] & ~at_hi[1]))
         exact = []
-        for l, h, low, high, points in self._cells(lo, hi, tol, inside):
+        for low, high, points in self._cells(first, last, tol, inside):
+            affine = self.affine(low, high)
             for side, idx in enumerate(points):
                 if not len(idx):
                     continue
-                if low.same(high):
-                    exact.append((l, h, low, high, side, idx))
+                if affine:
+                    exact.append((low, high, side, idx))
                 else:
-                    C[side][idx] = 0.5 * (l + h)
+                    C[side][idx] = 0.5 * (low.b + high.b)
         E = [np.zeros(self.t.size), np.zeros(self.t.size)]
         self._closed_form(exact, C, E)
         return tuple(self._snap(C[side], E[side], side, lo, hi, tol).reshape(self.shape) for side in (0, 1))
 
-    def _cells(self, lo, hi, tol, inside):
-        """Cells (l, h, level at l, level at h, (v points, w points)) holding
-        the values of the given points, in order."""
+    def _cells(self, first, last, tol, inside):
+        """Cells (level at l, level at h, (v points, w points)) between two
+        levels holding the values of the given points, in order."""
         cells: list = []
-        stack = [(lo, hi, 0, inside)]
+        stack = [(first, last, 0, inside)]
         while stack:
-            l, h, depth, points = stack.pop()
+            low, high, depth, points = stack.pop()
             if not (len(points[0]) or len(points[1])):
                 continue
-            low, high = self.level(l), self.level(h)
-            if low.same(high):
-                if cells and cells[-1][2].same(high):
-                    pl, _, plow, _, pp = cells[-1]
-                    cells[-1] = (pl, h, plow, high, tuple(np.concatenate(pair) for pair in zip(pp, points)))
+            if self.affine(low, high):
+                if cells and self.affine(cells[-1][0], high):
+                    plow, _, pp = cells[-1]
+                    cells[-1] = (plow, high, tuple(np.concatenate(pair) for pair in zip(pp, points)))
                 else:
-                    cells.append((l, h, low, high, points))
+                    cells.append((low, high, points))
                 continue
-            if h - l <= tol or depth >= _MAX_BISECT:
-                cells.append((l, h, low, high, points))
+            if high.b - low.b <= tol or depth >= _MAX_BISECT:
+                cells.append((low, high, points))
                 continue
-            mid = 0.5 * (l + h)
-            middle = self.level(mid)
+            middle = self.level(0.5 * (low.b + high.b))
             v_in = self.members(middle, 0, points[0])  # value at most mid
             w_in = self.members(middle, 1, points[1])  # value at least mid
-            stack.append((mid, h, depth + 1, (points[0][~v_in], points[1][w_in])))
-            stack.append((l, mid, depth + 1, (points[0][v_in], points[1][~w_in])))
+            stack.append((middle, high, depth + 1, (points[0][~v_in], points[1][w_in])))
+            stack.append((low, middle, depth + 1, (points[0][v_in], points[1][~w_in])))
         return cells
 
     def _closed_form(self, cells, C, E):
         """Exact values C of the points in cells whose end levels have equal
-        signatures, given as (l, h, level at l, level at h, side, points),
-        and the bounds E on their rounding.  Points are solved in batches of about ``_CHUNK`` whose tables have
+        signatures, given as (level at l, level at h, side, points), and the
+        bounds E on their rounding.  Points are solved in batches of about ``_CHUNK`` whose tables have
         the same number of thresholds."""
         batches: dict = {}
 
@@ -775,7 +727,7 @@ class _RowProfiles:
                 C[s][idx[mask]] = c[mask]
                 E[s][idx[mask]] = err[mask]
 
-        for l, h, low, high, side, points in cells:
+        for low, high, side, points in cells:
             P1, T1, F1, R = low.table(side)
             P2, T2, F2, _ = high.table(side)
             batch = batches.setdefault(T1.shape[1], [[], 0])
@@ -784,7 +736,7 @@ class _RowProfiles:
                 x0 = self.x0[side][idx]
                 k = np.searchsorted(P1 if side else P2, x0, side="right") - 1
                 n = len(idx)
-                cell = (np.full(n, l), np.full(n, h), np.full(n, side), idx, x0)
+                cell = (np.full(n, low.b), np.full(n, high.b), np.full(n, side), idx, x0)
                 batch[0].append(cell + (P1[k], P2[k], T1[k], T2[k], F1[k], F2[k], R[k]))
                 batch[1] += n
                 if batch[1] >= _CHUNK:
@@ -847,6 +799,12 @@ class SolutionField:
         self.spec = spec
         self.tolerance = float(tolerance)
         self._cache: dict = {}
+        # every breakpoint value of v0 and w0, and on a segment their values
+        # at its ends: the levels where a level-interval end changes piece
+        critical = set(spec.v0.ys) | set(spec.w0.ys)
+        if spec.domain.is_segment:
+            critical |= {f(a) for f in (spec.v0, spec.w0) for a in (spec.domain.a1, spec.domain.a2)}
+        self._critical = sorted(critical)
 
     # -- brackets ----------------------------------------------------------
 
@@ -958,9 +916,9 @@ class SolutionField:
         budget = min(math.log2((hi - lo) / tol), _MAX_BISECT) + 14  # plain depth + 14
         xn = self._nudge(x)
         if reflected:
-            x0, side, sign = -(xn + t), _LevelPair.wslice, -1.0
+            x0, side, sign = -(xn + t), 1, -1.0
         else:
-            x0, side, sign = xn - t, _LevelPair.vslice, 1.0
+            x0, side, sign = xn - t, 0, 1.0
         if guess is None:
             guess = self.spec.w0(xn + t) if reflected else self.spec.v0(xn - t)
         a, z = lo, hi
@@ -1018,7 +976,7 @@ class SolutionField:
             for b in levels:
                 if not a < b < z:
                     continue
-                sl = side(self._pair(b))
+                sl = self._pair(b).slice(side)
                 probed.append([b, sl, None])
                 if sl.membership(x0, t) != reflected:
                     z, iz = b, len(probed) - 1
@@ -1052,7 +1010,7 @@ class SolutionField:
         it is read off a few certified levels instead of one bisection per
         point (see ``_RowProfiles``).  For piecewise-linear data every
         level-set end is affine in b between two levels with equal
-        signatures (see ``_Level``), so each point's exact value follows in
+        signatures (see ``_LevelPair``), so each point's exact value follows in
         closed form; a walk down bisection's path turns it into bisection's
         answer, with a real membership probe wherever a midpoint comes within
         ``_SNAP`` final cells of it or within its rounding bound.  Only that
@@ -1073,7 +1031,7 @@ class SolutionField:
         t_hi = max(ts)
         lo, hi, tol = self._span_bracket(min(xs) - t_hi, max(xs) + t_hi)
         xn = np.array([self._nudge(x) for x in xs])
-        return _RowProfiles(self.spec, xn, ts).values(lo, hi, tol)
+        return _RowProfiles(self, xn, ts).values(lo, hi, tol)
 
     def _span_bracket(self, lo_x: float, hi_x: float) -> Tuple[float, float, float]:
         """The padded value bracket of [lo_x, hi_x] within the domain and its
@@ -1091,20 +1049,20 @@ class SolutionField:
         [lo_x, hi_x] (within the domain), in order, and per cell between
         neighbours whether their signatures agree.
 
-        Every critical value inside the bracket is a level, so ``same`` can
-        leave out the count of critical values; a cell whose end signatures
-        differ is bisected down to its last representable midpoint, or
-        ``_MAX_BISECT`` halvings.
+        Every critical value inside the bracket is a level, so no critical
+        value lies inside a cell and equal signatures (``same``) make it
+        affine; a cell whose end signatures differ is bisected down to its
+        last representable midpoint, or ``_MAX_BISECT`` halvings.
         """
         lo, hi, _ = self._span_bracket(lo_x, hi_x)
-        critical = critical_values(self.spec)
-        levels, depths, affine = [_Level(self.spec, lo, critical)], [0], []
+        critical = self._critical
+        levels, depths, affine = [self._pair(lo)], [0], []
         for b in critical[bisect_right(critical, lo):bisect_left(critical, hi)] + [hi]:
-            stack = [(_Level(self.spec, b, critical), 0)]  # upper ends still to reach, nearest last
+            stack = [(self._pair(b), 0)]  # upper ends still to reach, nearest last
             while stack:
                 high, own = stack[-1]
                 depth = max(own, depths[-1])
-                same = levels[-1].same(high, gap=False)
+                same = levels[-1].same(high)
                 mid = 0.5 * (levels[-1].b + high.b)
                 if same or depth >= _MAX_BISECT or not levels[-1].b < mid < high.b:
                     stack.pop()
@@ -1112,7 +1070,7 @@ class SolutionField:
                     depths.append(own)
                     affine.append(same)
                 else:
-                    stack.append((_Level(self.spec, mid, critical), depth + 1))
+                    stack.append((self._pair(mid), depth + 1))
         return levels, affine
 
     # -- misc ---------------------------------------------------------------

@@ -349,14 +349,14 @@ class PiecewiseLinear:
     def _level_intervals(self, b, below, domain):
         """Sorted, merged closed intervals of {f <= b} (below) or {f >= b}.
 
-        Each monotone run of the breakpoint values holds at most one interval:
+        {f >= b} is read as {-f <= -b}, on the negated breakpoint values:
+        negation is exact, so both sets come from one routine.  Each
+        monotone run of the breakpoint values holds at most one interval:
         its two end values decide between all, nothing, or one bisection for
         the crossing segment, so a call costs O(m log n) for m runs.
         """
         runs = self._runs or self._monotone_runs()
-        xs, ys, neg = self.xs, self.ys, self._neg_ys
-        raw: list[Tuple[float, float]] = []
-        sgn = 1.0 if below else -1.0
+        xs = self.xs
         # a missing slope is the clamped tail that evaluation uses, which
         # matters where a domain reaches beyond the breakpoints
         left, right = self.left_slope, self.right_slope
@@ -365,59 +365,45 @@ class PiecewiseLinear:
                 left = 0.0
             if right is None and domain[1] > xs[-1]:
                 right = 0.0
-        # left tail: g = sgn (f - b) <= 0 is wanted, with slope s = sgn f'
+        if below:
+            ys, neg = self.ys, self._neg_ys
+        else:
+            ys, neg, b = self._neg_ys, self.ys, -b
+            left = None if left is None else -left
+            right = None if right is None else -right
+        raw: list[Tuple[float, float]] = []
         if left is not None:
-            g0 = sgn * (ys[0] - b)
-            s = sgn * left
+            g0 = ys[0] - b
             if g0 <= 0:
-                raw.append((-INF, xs[0]) if s >= 0 else (xs[0] - g0 / s, xs[0]))
-            elif s > 0 and xs[0] - g0 / s > -INF:  # no point: the crossing overflowed
-                raw.append((-INF, xs[0] - g0 / s))
-        # on a rising run {f <= b} is a prefix and {f >= b} a suffix, on a
-        # falling run the reverse; bisecting ys (rising) or -ys (falling)
-        # finds the breakpoint just past the crossing
+                raw.append((-INF, xs[0]) if left >= 0 else (xs[0] - g0 / left, xs[0]))
+            elif left > 0 and xs[0] - g0 / left > -INF:  # no point: the crossing overflowed
+                raw.append((-INF, xs[0] - g0 / left))
+        # {f <= b} is a prefix of a rising run and a suffix of a falling one;
+        # bisecting ys (rising) or -ys (falling) finds the breakpoint just
+        # past the crossing
         for i0, i1, rising in runs:
-            y0, y1 = ys[i0], ys[i1]
-            if below:
-                if rising:
-                    if y0 > b:
-                        continue
-                    if y1 <= b:
-                        raw.append((xs[i0], xs[i1]))
-                    else:
-                        j = bisect_right(ys, b, i0, i1)
-                        raw.append((xs[i0], _crossing(xs, ys, j - 1, b)))
-                else:
-                    if y1 > b:
-                        continue
-                    if y0 <= b:
-                        raw.append((xs[i0], xs[i1]))
-                    else:
-                        j = bisect_left(neg, -b, i0, i1)
-                        raw.append((_crossing(xs, ys, j - 1, b), xs[i1]))
-            elif rising:
-                if y1 < b:
+            if rising == below:
+                if ys[i0] > b:
                     continue
-                if y0 >= b:
+                if ys[i1] <= b:
                     raw.append((xs[i0], xs[i1]))
                 else:
-                    j = bisect_left(ys, b, i0, i1)
-                    raw.append((_crossing(xs, ys, j - 1, b), xs[i1]))
-            else:
-                if y0 < b:
-                    continue
-                if y1 >= b:
-                    raw.append((xs[i0], xs[i1]))
-                else:
-                    j = bisect_right(neg, -b, i0, i1)
+                    j = bisect_right(ys, b, i0, i1)
                     raw.append((xs[i0], _crossing(xs, ys, j - 1, b)))
+            else:
+                if ys[i1] > b:
+                    continue
+                if ys[i0] <= b:
+                    raw.append((xs[i0], xs[i1]))
+                else:
+                    j = bisect_left(neg, -b, i0, i1)
+                    raw.append((_crossing(xs, ys, j - 1, b), xs[i1]))
         if right is not None:
-            g1 = sgn * (ys[-1] - b)
-            s = sgn * right
+            g1 = ys[-1] - b
             if g1 <= 0:
-                raw.append((xs[-1], INF) if s <= 0 else (xs[-1], xs[-1] - g1 / s))
-            elif s < 0 and xs[-1] - g1 / s < INF:
-                raw.append((xs[-1] - g1 / s, INF))
+                raw.append((xs[-1], INF) if right <= 0 else (xs[-1], xs[-1] - g1 / right))
+            elif right < 0 and xs[-1] - g1 / right < INF:
+                raw.append((xs[-1] - g1 / right, INF))
         if domain is not None:
             lo_d, hi_d = domain
             raw = [(max(lo, lo_d), min(hi, hi_d)) for lo, hi in raw if max(lo, lo_d) <= min(hi, hi_d)]

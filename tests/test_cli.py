@@ -275,6 +275,18 @@ def test_malformed_problem_exit_2(tmp_path, capsys, obj):
     assert "invalid problem file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("peak", [1e154, 1e200])
+def test_check_overflowing_energy_exit_2(tmp_path, capsys, peak):
+    # a segment tent whose energy integral overflows the float range
+    tent = {"breakpoints": [0.0, 1.0, 2.0], "values": [0.0, peak, 0.0]}
+    obj = {"domain": {"kind": "segment", "a1": 0.0, "a2": 2.0}, "v0": tent, "w0": dict(tent, values=[0.0, -peak, 0.0])}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(["check", "--problem", str(path), "--out", str(tmp_path / "checks.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "overflows" in err
+
+
 JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
     st.sampled_from([math.nan, math.inf, -math.inf]), st.lists(st.integers(-3, 3), max_size=2),

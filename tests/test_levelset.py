@@ -80,7 +80,7 @@ class TestAlpha:
             v_lo, v_hi = spec.v0.min_max_on(lo, hi)
             for b in rng.uniform(v_lo - 0.5, v_hi + 0.5, size=3):
                 pair = _LevelPair(spec, float(b))
-                sl = pair.vslice()
+                sl = pair.slice(0)
                 for (p, q, pieces, c_end) in sl.components:
                     if not (math.isfinite(p) and math.isfinite(q)) or q <= p:
                         continue
@@ -153,7 +153,7 @@ class TestLevelSets:
         from freezeflow.fixtures import FIXTURES
         from freezeflow.levelset import _LevelPair
 
-        ramp = _LevelPair(get_fixture("frozen-ramp").build(), 0.5).vslice()
+        ramp = _LevelPair(get_fixture("frozen-ramp").build(), 0.5).slice(0)
         assert ramp.survivors(0.1) == [(-INF, 0.4)]
         assert ramp.membership(0.4, 0.1)  # (0.5 + 0.1 - 0.4) * 0.5 rounds below 0.1
         rng = np.random.default_rng(8)
@@ -166,7 +166,7 @@ class TestLevelSets:
             _, v_hi = spec.v0.min_max_on(lo, hi)
             for b in rng.uniform(w_lo - 0.5, v_hi + 0.5, size=6):
                 pair = _LevelPair(spec, float(b))
-                for sl in (pair.vslice(), pair.wslice()):
+                for sl in (pair.slice(0), pair.slice(1)):
                     for t in (0.0, *rng.uniform(0.0, 3.0, size=4)):
                         survivors = sl.survivors(t)
                         union = IntervalUnion(survivors)
@@ -338,14 +338,14 @@ def bisection_reference(field, x, t, bracket, reflected):
     lo -= pad
     hi += pad
     if reflected:
-        x0, side = -(field._nudge(x) + t), _LevelPair.wslice
+        x0, side = -(field._nudge(x) + t), 1
     else:
-        x0, side = field._nudge(x) - t, _LevelPair.vslice
+        x0, side = field._nudge(x) - t, 0
     for _ in range(_MAX_BISECT):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if side(_LevelPair(field.spec, mid)).membership(x0, t) != reflected:
+        if _LevelPair(field.spec, mid).slice(side).membership(x0, t) != reflected:
             hi = mid
         else:
             lo = mid
@@ -545,7 +545,7 @@ def test_front_table_matches_front():
         ys = spec.v0.ys + spec.w0.ys
         for b in np.linspace(min(ys), max(ys), 20):
             pair = _LevelPair(spec, float(b))
-            for sl in (pair.vslice(), pair.wslice()):
+            for sl in (pair.slice(0), pair.slice(1)):
                 P, T, F, R = _front_table(sl)
                 ts = sorted({0.0, *np.linspace(0.0, 10.0, 21).tolist(), *T[np.isfinite(T) & (T >= 0.0)].tolist()})
                 for k, comp in enumerate(sl.components):
@@ -603,3 +603,28 @@ def test_frozen_segments_carry_their_level():
                 t = first + (last - first) * rng.uniform(0.1, 0.9)
                 v, w = field.eval_pair(x, t)
                 assert max(abs(v - level.b), abs(w - level.b)) <= field.zone_epsilon(), (level.b, x, t, v, w)
+
+
+def test_shared_level_cache_keeps_no_grid_times():
+    # grids, point queries and the sweep read one level cache; two grids on
+    # one bracket share levels but not times, so nothing that depends on a
+    # grid's times may stay on a cached level
+    rng = np.random.default_rng(13)
+    for spec in _fixtures_and_random_specs(n_random=3):
+        lo, hi = spec.breakpoint_span()
+        dom = spec.domain
+        x0, x1 = (dom.a1, dom.a2) if dom.is_segment else (lo - 1.0, hi + 1.0)
+        xs = sorted(rng.uniform(x0, x1, size=8).tolist())  # more points than _FEW
+        calls = [
+            lambda f: f.eval_grid(xs, [0.0, 0.5, 1.5]),
+            lambda f: f.eval_grid(xs, [1.5, 0.25, 1.0, 0.0]),  # the same bracket
+            lambda f: [f.eval_v(x, t) for x in xs[:3] for t in (0.5, 1.5)] + [f.eval_w(x, 0.25) for x in xs[2:]],
+            lambda f: [(level.b, level.frozen()) for level in f._sweep(x0, x1)[0]] + f._sweep(x0, x1)[1],
+        ]
+        shared = SolutionField(spec, tolerance=1e-9)
+        for call in calls:
+            got, want = call(shared), call(SolutionField(spec, tolerance=1e-9))
+            if isinstance(got, tuple):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), spec
+            else:
+                assert got == want, spec
