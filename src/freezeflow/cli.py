@@ -45,8 +45,10 @@ class CliError(Exception):
 
 def _make_field(spec: ProblemSpec, tol: float) -> SolutionField:
     """Build the field, printing each validation warning to stderr."""
-    if not tol < 1.0:  # a final cell as wide as the values; inf and nan too
-        raise CliError(f"--tol must be below 1, got {tol!r}", EXIT_BAD_CONFIG)
+    # at 1 a final cell is as wide as the values; below 1e-13 the bounds of
+    # `check` approach the rounding of the values (it fails at 1e-16); nan too
+    if not 1e-13 <= tol < 1.0:
+        raise CliError(f"--tol must be at least 1e-13 and below 1, got {tol!r}", EXIT_BAD_CONFIG)
     try:
         field = SolutionField(spec, tolerance=tol)
     except ValueError as exc:

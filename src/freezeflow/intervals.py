@@ -116,8 +116,17 @@ class IntervalUnion:
                 j += 1
         return IntervalUnion(out)
 
+    @classmethod
+    def _of(cls, intervals: Tuple[Interval, ...]) -> "IntervalUnion":
+        """The union of intervals already sorted, disjoint and not touching."""
+        out = cls.__new__(cls)
+        out.intervals = intervals
+        return out
+
     def clip(self, lo: float, hi: float) -> "IntervalUnion":
-        return self.intersect(IntervalUnion(((lo, hi),)))
+        """The part within [lo, hi] in one pass: clamping keeps the intervals disjoint; a nan end keeps none."""
+        clamped = ((max(a, lo), min(b, hi)) for a, b in self.intervals)
+        return IntervalUnion._of(tuple((a, b) for a, b in clamped if lo <= a <= b <= hi))
 
     def reflect(self) -> "IntervalUnion":
         """The mirror image {-x : x in self}."""

@@ -30,12 +30,14 @@ every step of that bisection, while a secant on the signed distance to the
 surviving labels chooses which steps need a probe, so a value takes a few
 probes instead of one per step.
 
-Everything known at one level b is one object, cached per field for every
-query.  A grid needs fewer levels still.  Two levels with no critical value
-of the data between them and equal signatures (the order of the nodes and
-the branch outcomes inside the component structure) certify that every end
-is affine in b between them, so the value of each grid point whose
-membership changes there follows in closed form.  The shared
+Everything known at one level b is one object, cached per field for point,
+grid and sweep queries, which revisit the same levels.  Set queries build
+theirs fresh: a user's (b, t) is rarely asked twice, so caching it would
+only hold memory.  A grid needs fewer levels still.  Two levels with no
+critical value of the data between them and equal signatures (the order of
+the nodes and the branch outcomes inside the component structure) certify
+that every end is affine in b between them, so the value of each grid point
+whose membership changes there follows in closed form.  The shared
 bracket is split on bisection's lattice only until each value lies in such
 a cell or in a final cell, and each exact value is snapped to bisection's
 answer, with a real probe where a midpoint comes close to it.  The same
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,13 +86,20 @@ def extended_level_sets(spec: ProblemSpec, b: float) -> Tuple[list, list]:
     and [a2, +inf) (superlevel side); this encodes the boundary conditions as
     permanent feeder tails and makes the whole-line formulas apply verbatim.
     """
-    if spec.domain.is_segment:
-        a1, a2 = spec.domain.a1, spec.domain.a2
-        blue = [(-INF, a1)] + spec.v0.sublevel_intervals(b, domain=(a1, a2))
-        red = spec.w0.superlevel_intervals(b, domain=(a1, a2)) + [(a2, INF)]
-        return merge_sorted(blue), merge_sorted(red)
-    # level-interval lists come back sorted and merged already
-    return spec.v0.sublevel_intervals(b), spec.w0.superlevel_intervals(b)
+    if b != b:
+        raise ValueError("b must not be nan")
+    if not spec.domain.is_segment:
+        return spec.v0.sublevel_intervals(b), spec.w0.superlevel_intervals(b)
+    # the level-interval lists come back sorted, merged and within [a1, a2],
+    # so a tail can only join the first blue or the last red interval
+    a1, a2 = spec.domain.a1, spec.domain.a2
+    blue = spec.v0.sublevel_intervals(b, domain=(a1, a2))
+    red = spec.w0.superlevel_intervals(b, domain=(a1, a2))
+    head = blue.pop(0) if blue and blue[0][0] <= a1 else (a1, a1)
+    blue.insert(0, (-INF, max(a1, head[1])))
+    tail = red.pop() if red and red[-1][1] >= a2 else (a2, a2)
+    red.append((tail[0], INF))
+    return blue, red
 
 
 def _k_regions(blue: Sequence[Tuple[float, float]], red: Sequence[Tuple[float, float]]):
@@ -100,29 +110,20 @@ def _k_regions(blue: Sequence[Tuple[float, float]], red: Sequence[Tuple[float, f
     (kvals[0] is the region left of all nodes, kvals[-1] right of all).
     Zero-length intervals carry no measure and do not affect K.
     """
-    ends = set()
-    for lo, hi in blue:
-        if math.isfinite(lo):
-            ends.add(lo)
-        if math.isfinite(hi):
-            ends.add(hi)
-    for lo, hi in red:
-        if math.isfinite(lo):
-            ends.add(lo)
-        if math.isfinite(hi):
-            ends.add(hi)
+    ends = set(chain(*blue, *red))
+    ends.discard(INF)
+    ends.discard(-INF)
     nodes = sorted(ends)
-    index_of = {x: i for i, x in enumerate(nodes)}
-    kvals = [0] * (len(nodes) + 1)
-    for intervals, delta in ((blue, 1), (red, -1)):
+    # K steps up where a blue interval starts and down where it ends (red
+    # the other way); region i starts at nodes[i - 1]
+    steps = [0] * (len(nodes) + 1)
+    for intervals, up in ((blue, 1), (red, -1)):
         for lo, hi in intervals:
-            if hi - lo <= 0.0:
-                continue
-            il = -1 if lo == -INF else index_of[lo]
-            ih = len(nodes) if hi == INF else index_of[hi]
-            for r in range(il + 1, ih + 1):
-                kvals[r] += delta
-    return nodes, kvals
+            if hi - lo > 0.0:
+                steps[bisect_right(nodes, lo)] += up
+                if hi < INF:
+                    steps[bisect_right(nodes, hi)] -= up
+    return nodes, list(accumulate(steps))
 
 
 def _alpha_scan(nodes, kvals, x: float) -> float:
@@ -467,27 +468,25 @@ class _LevelPair:
         return self._frozen
 
 
+def _level_set(spec: ProblemSpec, b: float, t: float, side: int) -> IntervalUnion:
+    """A(v,b,t) (side 0) or A(w,b,t) (side 1).  The survivors come sorted:
+    moved by t they need only a merge where rounding makes neighbours touch,
+    and the w side is reflected back."""
+    if not 0.0 <= t < INF:  # false for nan too
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
+    moved = merge_sorted([(lo + t, hi + t) for lo, hi in _LevelPair(spec, b).slice(side).survivors(t)])
+    out = IntervalUnion._of(tuple((-hi, -lo) for lo, hi in reversed(moved)) if side else tuple(moved))
+    return out.clip(spec.domain.a1, spec.domain.a2) if spec.domain.is_segment else out
+
+
 def sublevel_set(spec: ProblemSpec, b: float, t: float) -> IntervalUnion:
     """A(v,b,t): surviving sublevel points transported to the right by t."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    sl = _LevelPair(spec, b).slice(0)
-    moved = [(lo + t, hi + t) for lo, hi in sl.survivors(t)]
-    out = IntervalUnion(moved)
-    if spec.domain.is_segment:
-        out = out.clip(spec.domain.a1, spec.domain.a2)
-    return out
+    return _level_set(spec, b, t, 0)
 
 
 def superlevel_set(spec: ProblemSpec, b: float, t: float) -> IntervalUnion:
     """A(w,b,t): surviving superlevel points transported to the left by t."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    sl = _LevelPair(spec, b).slice(1)
-    moved = IntervalUnion([(lo + t, hi + t) for lo, hi in sl.survivors(t)]).reflect()
-    if spec.domain.is_segment:
-        moved = moved.clip(spec.domain.a1, spec.domain.a2)
-    return moved
+    return _level_set(spec, b, t, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,22 @@ def test_check_segment_passes(tmp_path):
     assert all(r["passed"] for r in reports)
 
 
+def test_check_passes_at_the_tolerance_floor(tmp_path):
+    out = tmp_path / "checks.json"
+    assert run_cli(["check", "--fixture", "wedge", "--tol", "1e-13", "--out", str(out)]) == 0
+    assert all(r["passed"] for r in json.loads(out.read_text()))
+
+
+def test_python_m_freezeflow_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(freezeflow.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "freezeflow", "check", "--fixture", "wedge", "--out", os.devnull],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 def test_trace_csv(tmp_path):
     out = tmp_path / "curve.csv"
     code = run_cli(
@@ -431,6 +447,12 @@ TRACE_V = ["trace", "--fixture", "wedge", "--kind", "v", "--x", "1"]
         ["pinned-balls", "--seed", "-1"],
         # values far beyond the data overflowed in the momentum and energy check
         ["check", "--fixture", "seg-tent", "--tol", "1e300"],
+        # below the tolerance floor, where the bounds of `check` fall under
+        # the rounding of the values: these used to exit 1 with failed checks
+        ["check", "--fixture", "wedge", "--tol", "1e-16"],
+        ["check", "--fixture", "seg-tent", "--tol", "1e-300"],
+        ["check", "--fixture", "wedge", "--tol", "9.9e-14"],
+        ["solve", "--fixture", "wedge", "--grid", "3,2", "--tol", "1e-14"],
     ],
     ids=lambda argv: " ".join(argv),
 )

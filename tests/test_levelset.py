@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -203,6 +204,29 @@ class TestLevelSets:
                 diffs.append(m_sub - m_sup)
             assert max(diffs) - min(diffs) < 1e-12
             assert all(later <= earlier + 1e-12 for earlier, later in zip(sums, sums[1:]))
+
+    # a nan level used to fail with KeyError on wedge and return [0, 0.5]
+    # and [0.5, 1] on seg-tent (alpha_v 1.0); a nan or infinite time gave
+    # the empty set
+    @pytest.mark.parametrize(
+        "b,t,match",
+        [
+            (math.nan, 0.5, "b must not be nan"),
+            (0.5, math.nan, "t must be finite and nonnegative, got nan"),
+            (0.5, math.inf, "t must be finite and nonnegative, got inf"),
+        ],
+        ids=["nan-b", "nan-t", "inf-t"],
+    )
+    @pytest.mark.parametrize("name", ["wedge", "seg-tent"])
+    def test_set_queries_reject_bad_input(self, name, b, t, match):
+        spec = get_fixture(name).build()
+        field = SolutionField(spec)
+        queries = [partial(sublevel_set, spec), partial(superlevel_set, spec), field.sublevel_set, field.superlevel_set]
+        if b != b:  # alpha_v(spec, b, x) reads the level the same way
+            queries += [partial(alpha_v, spec), partial(alpha_w, spec)]
+        for query in queries:
+            with pytest.raises(ValueError, match=match):
+                query(b, t)
 
 
 class TestEval:
