@@ -28,7 +28,7 @@ from . import geometry as geom
 from . import oracle as orc
 from . import pinned_balls as balls
 from .fixtures import FIXTURES, get_fixture
-from .levelset import SolutionField, sublevel_set, superlevel_set
+from .levelset import SolutionField, _level_set, _LevelPair
 from .problem import ProblemSpec, load_spec
 
 EXIT_CHECK_FAILED = 1
@@ -144,14 +144,17 @@ def cmd_solve(args) -> int:
     thaws = np.zeros_like(liquid)
     thaws[:-1] = liquid[1:]
     zones = np.where(liquid, "liquid", np.where(thaws, "boundary", "frozen"))
-    X, T = np.meshgrid(xs, ts)
-    columns = [a.ravel().tolist() for a in (X, T, V, W, V + W, V - W, zones)]
+    columns = [a.ravel().tolist() for a in (V, W, V + W, V - W, zones)]
     if args.format == "json":
+        X, T = np.meshgrid(xs, ts)
         keys = ("x", "t", "v", "w", "mu", "sigma", "zone")
-        payload = _json_text([dict(zip(keys, r)) for r in zip(*columns)])
+        payload = _json_text([dict(zip(keys, r)) for r in zip(X.ravel().tolist(), T.ravel().tolist(), *columns)])
     else:
-        line = "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s\n"
-        payload = "x,t,v,w,mu,sigma,zone\n" + "".join([line % r for r in zip(*columns)])
+        # each x and each t is formatted once, not once per row
+        x_col = ["%.12g" % x for x in xs.tolist()] * nt
+        t_col = [s for t in ts.tolist() for s in ["%.12g" % t] * nx]
+        line = "%s,%s,%.12g,%.12g,%.12g,%.12g,%s\n"
+        payload = "x,t,v,w,mu,sigma,zone\n" + "".join([line % r for r in zip(x_col, t_col, *columns)])
     _write(args.out, payload)
     return 0
 
@@ -278,8 +281,8 @@ def cmd_oracle(args) -> int:
     results = []
     worst = 0.0
     for b, t in zip(bs, ts):
-        sub = sublevel_set(spec, b, t)
-        sup = superlevel_set(spec, b, t)
+        level = _LevelPair(spec, b)  # both sides read one level
+        sub, sup = _level_set(spec, level, t, 0), _level_set(spec, level, t, 1)
         ob, orr = orc.oracle_level_sets(spec, b, t)
         d = max(sub.symmetric_difference_measure(ob), sup.symmetric_difference_measure(orr))
         worst = max(worst, d)

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .intervals import IntervalUnion
-from .levelset import SolutionField, sublevel_set, superlevel_set
+from .levelset import SolutionField, _level_set, _LevelPair
 from .problem import Domain, PiecewiseLinear, ProblemSpec
 
 INF = math.inf
@@ -129,9 +129,14 @@ def occupation_difference(
     translation preserves length, so this difference is constant in t (it is
     the difference of occupation measures in mean/dispersion variables).
     """
+    return _occupation(spec, _LevelPair(spec, b), t, window)
+
+
+def _occupation(spec: ProblemSpec, level: _LevelPair, t: float, window: Tuple[float, float]) -> float:
+    """``occupation_difference`` at the level b of ``level``."""
     lo, hi = window
-    sub = sublevel_set(spec, b, t)
-    sup = superlevel_set(spec, b, t)
+    sub = _level_set(spec, level, t, 0)
+    sup = _level_set(spec, level, t, 1)
     m_sub = sub.clip(lo, hi).measure()
     m_sup = sup.clip(lo, hi).measure()
     if not spec.domain.is_segment:
@@ -155,20 +160,18 @@ def check_occupation(
     level crossings far beyond the breakpoint span, so the window is widened
     per level as needed.
     """
-    from .levelset import extended_level_sets
-
     spec = field.spec
     horizon = max(times) if len(list(times)) else 0.0
     worst = 0.0
     for b in b_values:
         lo, hi = window
+        level = _LevelPair(spec, b)  # one level serves both sides at every time
         if not spec.domain.is_segment:
-            blue, red = extended_level_sets(spec, b)
-            pts = [e for s in (blue, red) for iv in s for e in iv if math.isfinite(e)]
+            pts = [e for s in (level.blue, level.red) for iv in s for e in iv if math.isfinite(e)]
             if pts:
                 lo = min(lo, min(pts) - horizon - 1.0)
                 hi = max(hi, max(pts) + horizon + 1.0)
-        vals = [occupation_difference(spec, b, t, (lo, hi)) for t in times]
+        vals = [_occupation(spec, level, t, (lo, hi)) for t in times]
         finite = [v for v in vals if math.isfinite(v)]
         if len(finite) >= 2:
             worst = max(worst, max(finite) - min(finite))

@@ -31,19 +31,21 @@ surviving labels chooses which steps need a probe, so a value takes a few
 probes instead of one per step.
 
 Everything known at one level b is one object, cached per field for point,
-grid and sweep queries, which revisit the same levels.  Set queries build
-theirs fresh: a user's (b, t) is rarely asked twice, so caching it would
-only hold memory.  A grid needs fewer levels still.  Two levels with no
-critical value of the data between them and equal signatures (the order of
-the nodes and the branch outcomes inside the component structure) certify
-that every end is affine in b between them, so the value of each grid point
-whose membership changes there follows in closed form.  The shared
-bracket is split on bisection's lattice only until each value lies in such
-a cell or in a final cell, and each exact value is snapped to bisection's
-answer, with a real probe where a midpoint comes close to it.  The same
-signatures let one sweep with a level at every critical value follow the
-frozen segments, where a v front and a w front stand at one x, for the
-freezing and thawing curves.
+grid and sweep queries, which revisit the same levels.  Set queries are not
+cached: a user's (b, t) is rarely asked twice, so a cache would only hold
+memory.  But A(v,b,t) and A(w,b,t) come from the same K and are mostly
+asked together, so a field keeps the level of its latest set query in one
+slot until a query at the same b takes it.  A grid needs fewer levels
+still.  Two levels with no critical value of the data between them and
+equal signatures (the order of the nodes and the branch outcomes inside
+the component structure) certify that every end is affine in b between
+them, so the value of each grid point whose membership changes there
+follows in closed form.  The shared bracket is split on bisection's
+lattice only until each value lies in such a cell or in a final cell, and
+each exact value is snapped to bisection's answer, with a real probe where
+a midpoint comes close to it.  The same signatures let one sweep with a
+level at every critical value follow the frozen segments, where a v front
+and a w front stand at one x, for the freezing and thawing curves.
 
 Empty-set convention: if the running integral never goes negative the point
 is never annihilated, so alpha_v returns +inf (alpha_w returns -inf) and the
@@ -468,25 +470,30 @@ class _LevelPair:
         return self._frozen
 
 
-def _level_set(spec: ProblemSpec, b: float, t: float, side: int) -> IntervalUnion:
-    """A(v,b,t) (side 0) or A(w,b,t) (side 1).  The survivors come sorted:
-    moved by t they need only a merge where rounding makes neighbours touch,
-    and the w side is reflected back."""
+def _level_set(spec: ProblemSpec, level: _LevelPair, t: float, side: int) -> IntervalUnion:
+    """A(v,b,t) (side 0) or A(w,b,t) (side 1) at the level b of ``level``.
+    The survivors come sorted: moved by t they need only a merge where
+    rounding makes neighbours touch, and the w side is reflected back."""
     if not 0.0 <= t < INF:  # false for nan too
         raise ValueError(f"t must be finite and nonnegative, got {t!r}")
-    moved = merge_sorted([(lo + t, hi + t) for lo, hi in _LevelPair(spec, b).slice(side).survivors(t)])
+    moved = merge_sorted([(lo + t, hi + t) for lo, hi in level.slice(side).survivors(t)])
     out = IntervalUnion._of(tuple((-hi, -lo) for lo, hi in reversed(moved)) if side else tuple(moved))
     return out.clip(spec.domain.a1, spec.domain.a2) if spec.domain.is_segment else out
 
 
+def _same_float(a: float, b: float) -> bool:
+    """a and b are one number of one type, with the same sign of zero."""
+    return a == b and type(a) is type(b) and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def sublevel_set(spec: ProblemSpec, b: float, t: float) -> IntervalUnion:
     """A(v,b,t): surviving sublevel points transported to the right by t."""
-    return _level_set(spec, b, t, 0)
+    return _level_set(spec, _LevelPair(spec, b), t, 0)
 
 
 def superlevel_set(spec: ProblemSpec, b: float, t: float) -> IntervalUnion:
     """A(w,b,t): surviving superlevel points transported to the left by t."""
-    return _level_set(spec, b, t, 1)
+    return _level_set(spec, _LevelPair(spec, b), t, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -776,10 +783,12 @@ class SolutionField:
     Values are bisection's answer in b over the monotone membership
     predicate, found with few probes (see ``_cell``); the absolute
     tolerance is ``tolerance`` scaled by the value range over the query's
-    triangle of determinacy.  The object is immutable and all queries are
-    pure, so concurrent reads are safe; the level-slice cache is a pure
-    memoization keyed by b.  ``warnings`` holds the messages of the
-    non-fatal validation issues (flat segments).
+    triangle of determinacy.  All queries are pure, so concurrent reads are
+    safe: the level cache is a pure memoization keyed by b, and set queries
+    read the one level they share (``_level_set``) once into a local, so a
+    race between them costs a rebuild, never a wrong set, since a level is
+    a function of the problem and b alone.  ``warnings`` holds the messages
+    of the non-fatal validation issues (flat segments).
 
     The integrand sweep integrates the linear extension tails exactly, so
     far-out whole-line queries are as exact as near ones.
@@ -798,6 +807,7 @@ class SolutionField:
         self.spec = spec
         self.tolerance = float(tolerance)
         self._cache: dict = {}
+        self._set_level: Optional[_LevelPair] = None  # see ``_level_set``
         # every breakpoint value of v0 and w0, and on a segment their values
         # at its ends: the levels where a level-interval end changes piece
         critical = set(spec.v0.ys) | set(spec.w0.ys)
@@ -992,10 +1002,24 @@ class SolutionField:
     # -- sets --------------------------------------------------------------
 
     def sublevel_set(self, b: float, t: float) -> IntervalUnion:
-        return sublevel_set(self.spec, b, t)
+        return self._level_set(b, t, 0)
 
     def superlevel_set(self, b: float, t: float) -> IntervalUnion:
-        return superlevel_set(self.spec, b, t)
+        return self._level_set(b, t, 1)
+
+    def _level_set(self, b: float, t: float, side: int) -> IntervalUnion:
+        """One side's set, on the level that the latest set query left in
+        ``_set_level`` if it was at the same b (the same float, sign of
+        zero included), else on a fresh level that is left there in turn.
+        A reused level leaves the slot, so it holds at most one unused
+        level; a query that raises leaves the slot as it was."""
+        level = self._set_level
+        reuse = level is not None and _same_float(level.b, b)
+        if not reuse:
+            level = _LevelPair(self.spec, b)
+        out = _level_set(self.spec, level, t, side)
+        self._set_level = None if reuse else level
+        return out
 
     # -- grid evaluation -----------------------------------------------------
 

@@ -18,7 +18,9 @@ from freezeflow import (
     superlevel_set,
 )
 from freezeflow.fixtures import FIXTURES, wedge_v_exact, wedge_w_exact
+from freezeflow import levelset
 from freezeflow.levelset import _front, _front_table, _LevelPair, _stands, extended_level_sets
+from test_set_assembly import edge_spec, signed
 
 PL = PiecewiseLinear
 INF = math.inf
@@ -227,6 +229,99 @@ class TestLevelSets:
         for query in queries:
             with pytest.raises(ValueError, match=match):
                 query(b, t)
+
+
+def _count_levels(monkeypatch):
+    """The levels b at which ``extended_level_sets`` runs, one per level built."""
+    built = []
+    real = levelset.extended_level_sets
+
+    def counted(spec, b):
+        built.append(b)
+        return real(spec, b)
+
+    monkeypatch.setattr(levelset, "extended_level_sets", counted)
+    return built
+
+
+def _module_set(spec, b, t, side):
+    return (superlevel_set if side else sublevel_set)(spec, b, t)
+
+
+def _field_set(field, b, t, side):
+    return (field.superlevel_set if side else field.sublevel_set)(b, t)
+
+
+class TestSetLevelSlot:
+    """A field's set queries hand their level on to the next set query at
+    the same b, so A(v,b,t) and A(w,b,t) build one level together."""
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0), (0, 0)], ids=["sub-super", "super-sub", "sub-sub"])
+    def test_field_equals_module_in_any_order(self, order):
+        rng = np.random.default_rng(4100)
+        specs = [get_fixture(name).build() for name in ("wedge", "seg-tent", "parabolas")]
+        specs += [random_pl_spec(rng, segment=bool(i % 2)) for i in range(4)]
+        for spec in specs:
+            field = SolutionField(spec)
+            lo, hi = spec.breakpoint_span()
+            w_lo, _ = spec.w0.min_max_on(lo, hi)
+            _, v_hi = spec.v0.min_max_on(lo, hi)
+            for b in rng.uniform(w_lo - 1.0, v_hi + 1.0, size=6).tolist():
+                ts = rng.uniform(0.0, 3.0, size=2).tolist()
+                got = [signed(_field_set(field, b, t, side)) for t, side in zip(ts, order)]
+                want = [signed(_module_set(spec, b, t, side)) for t, side in zip(ts, order)]
+                assert got == want, (spec, b, ts, order)
+
+    def test_interleaved_levels(self, monkeypatch):
+        spec = get_fixture("seg-tent").build()
+        field = SolutionField(spec)
+        queries = [(0.3, 0.5, 0), (0.7, 0.5, 0), (0.3, 1.5, 1), (0.3, 0.25, 0)]
+        want = [signed(_module_set(spec, b, t, side)) for b, t, side in queries]
+        built = _count_levels(monkeypatch)
+        assert [signed(_field_set(field, b, t, side)) for b, t, side in queries] == want
+        # the slot holds 0.7 when super at 0.3 comes, so that builds 0.3
+        # again, and only the last query reuses a level
+        assert built == [0.3, 0.7, 0.3]
+
+    def test_signed_zero_is_another_level(self, monkeypatch):
+        for segment in (False, True):
+            spec = edge_spec("zeros", segment)
+            field = SolutionField(spec, strict=False)
+            want = [signed(_module_set(spec, b, 1.0, side)) for b, side in ((0.0, 0), (-0.0, 1))]
+            built = _count_levels(monkeypatch)
+            got = [signed(field.sublevel_set(0.0, 1.0)), signed(field.superlevel_set(-0.0, 1.0))]
+            assert got == want
+            assert signed(built) == signed([0.0, -0.0])
+            monkeypatch.undo()
+
+    def test_pair_builds_one_level_and_empties_the_slot(self, monkeypatch):
+        field = SolutionField(get_fixture("wedge").build())
+        built = _count_levels(monkeypatch)
+        field.sublevel_set(0.5, 1.0)
+        assert field._set_level.b == 0.5
+        field.superlevel_set(0.5, 2.0)  # the level does not depend on t
+        assert built == [0.5]
+        assert field._set_level is None
+        field.superlevel_set(0.5, 2.0)  # the slot is empty, so it builds again
+        assert built == [0.5, 0.5]
+        assert field._set_level.b == 0.5
+
+    @pytest.mark.parametrize(
+        "b,t",
+        [(math.nan, 1.0), (0.5, math.nan), (0.5, math.inf), (0.5, -1.0), (0.7, math.nan)],
+        ids=["nan-b", "nan-t", "inf-t", "negative-t", "bad-t-at-another-b"],
+    )
+    def test_bad_input_leaves_the_slot(self, monkeypatch, b, t):
+        field = SolutionField(get_fixture("seg-tent").build())
+        field.sublevel_set(0.5, 1.0)
+        level = field._set_level
+        for side in (0, 1):
+            with pytest.raises(ValueError):
+                _field_set(field, b, t, side)
+            assert field._set_level is level
+        built = _count_levels(monkeypatch)
+        field.superlevel_set(0.5, 1.0)
+        assert built == [] and field._set_level is None
 
 
 class TestEval:

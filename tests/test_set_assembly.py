@@ -13,7 +13,16 @@ import math
 import numpy as np
 import pytest
 
-from freezeflow import Domain, IntervalUnion, PiecewiseLinear, ProblemSpec, random_pl_spec, sublevel_set, superlevel_set
+from freezeflow import (
+    Domain,
+    IntervalUnion,
+    PiecewiseLinear,
+    ProblemSpec,
+    SolutionField,
+    random_pl_spec,
+    sublevel_set,
+    superlevel_set,
+)
 from freezeflow.intervals import merge_sorted
 from freezeflow.levelset import _k_regions, _LevelSlice, extended_level_sets
 
@@ -129,6 +138,7 @@ def test_set_assembly_matches_reference():
         rng = np.random.default_rng(8800 + seed)
         spec = random_pl_spec(rng, segment=segment) if kind == "random" else edge_spec(kind, segment)
         dom = (spec.domain.a1, spec.domain.a2) if segment else None
+        field = SolutionField(spec, strict=False)
         for b in levels(spec, rng):
             blue, red = extended_level_sets(spec, b)
             assert signed((blue, red)) == signed(reference_extended_level_sets(spec, b)), (kind, seed, b)
@@ -138,9 +148,15 @@ def test_set_assembly_matches_reference():
             seen["inf"] += any(INF in (-lo, hi) for lo, hi in inner)
             seen["a1"] += segment and any(lo == dom[0] for lo, _ in inner)
             seen["a2"] += segment and any(hi == dom[1] for _, hi in inner)
-            for t in [0.0, -0.0, float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.5, 3.0)), 50.0]:
+            for i, t in enumerate([0.0, -0.0, float(rng.uniform(0.0, 0.5)), float(rng.uniform(0.5, 3.0)), 50.0]):
                 for side, query in ((0, sublevel_set), (1, superlevel_set)):
                     got = query(spec, b, t)
+                    assert signed(got) == signed(reference_level_set(spec, b, t, side)), (kind, seed, b, t, side)
+                # the field's queries come in pairs at one b, either side
+                # first, so the second side reads the level the first built
+                queries = (field.sublevel_set, field.superlevel_set)
+                for side in (0, 1) if i % 2 else (1, 0):
+                    got = queries[side](b, t)
                     assert signed(got) == signed(reference_level_set(spec, b, t, side)), (kind, seed, b, t, side)
     # the cases named in the docstring of ``levels`` all occur
     assert all(seen.values()), seen
