@@ -10,7 +10,7 @@ while the front retreats) and, inside a flat stretch of the data, moving at
 unit speed until an end passes it.  The path is sampled every dt.  Each
 sample is evaluated on the start's bracket while its own bracket lies inside
 it, so its value carries the start's tolerance: a label between the two
-slices is the start's answer, read from two membership probes of the cached
+slices is the start's answer, read from two membership probes of those
 slices, and any other label gets an inversion steered by that answer.
 Tracing is diagnostic: the solver never depends on it.
 
@@ -111,13 +111,21 @@ def classify(
     """Zone label at (x, t): liquid when v - w exceeds the gap threshold,
     frozen when the gap stays closed just above t, boundary otherwise."""
     eps = zone_epsilon if zone_epsilon is not None else field_.zone_epsilon()
-    gap = field_.eval_v(x, t) - field_.eval_w(x, t)
-    if gap > eps:
+    built: dict = {}
+    return field_._keep(built, _zone(field_, x, t, eps, built))
+
+
+def _zone(field_: SolutionField, x: float, t: float, eps: float, built: dict) -> ZoneLabel:
+    """``classify`` on the levels of the query that ``built`` belongs to."""
+
+    def gap(s):
+        return field_._invert(x, s, None, False, built) - field_._invert(x, s, None, True, built)
+
+    if gap(t) > eps:
         return ZoneLabel.LIQUID
-    probe = max(4.0 * eps / max(field_.spec.lipschitz, 1.0), 1e-6)
-    gap_up = field_.eval_v(x, t + probe) - field_.eval_w(x, t + probe)
     lam = field_.spec.lipschitz
-    if gap_up <= eps + 0.1 * lam * probe:
+    probe = max(4.0 * eps / max(lam, 1.0), 1e-6)
+    if gap(t + probe) <= eps + 0.1 * lam * probe:
         return ZoneLabel.FROZEN
     return ZoneLabel.BOUNDARY
 
@@ -149,17 +157,17 @@ def _trace(
     eps = field_.zone_epsilon()  # 10x the scaled solver tolerance
     char_tol = spec.lipschitz * dt + eps
     v_char = kind is CurveKind.V_CHAR
-    ev = field_.eval_v if v_char else field_.eval_w
+    built: dict = {}  # the levels of this trace, its start's and samples' alike
     field_._check_point(x, t)
     start = field_._bracket(x, t)
-    b_lo, b_hi = field_._cell(x, t, start, not v_char)
+    b_lo, b_hi = field_._cell(x, t, start, not v_char, built)
     value = 0.5 * (b_lo + b_hi)
-    zone0 = classify(field_, x, t, eps)
+    zone0 = _zone(field_, x, t, eps, built)
     flags = [(x, t, "boundary start")] if zone0 is ZoneLabel.BOUNDARY else []
-    # the cached slices at the ends of the start's final cell, between which
+    # the slices at the ends of the start's final cell, between which
     # certification puts the exact value; w is v of the mirrored problem,
     # whose slice below the value holds the label
-    low, high = field_._pair(b_lo), field_._pair(b_hi)
+    low, high = field_._level(b_lo, built), field_._level(b_hi, built)
     sign, outer, inner = (1.0, high.slice(0), low.slice(0)) if v_char else (-1.0, low.slice(1), high.slice(1))
     path = band_path(outer, inner, sign * field_._nudge(x) - t, t)
 
@@ -171,13 +179,13 @@ def _trace(
         if abs(xs - x) > t - ts + 1e-12 * (abs(x) + t):
             own = field_._bracket(xs, ts)
             if not start[0] <= own[0] <= own[1] <= start[1]:
-                return ev(xs, ts, own)
+                return field_._invert(xs, ts, own, not v_char, built)
         # a label in the outer slice and not in the inner one decides every
         # midpoint of bisection's path to [b_lo, b_hi] as the start's did
         x0 = sign * field_._nudge(xs) - ts
         if outer.membership(x0, ts) and not inner.membership(x0, ts):
             return value
-        return field_._invert(xs, ts, start, not v_char, value)
+        return field_._invert(xs, ts, start, not v_char, built, value)
     # backward traces on a segment end where the path meets the emitting feeder
     feeder = sign * (dom.a1 if v_char else dom.a2) if dom.is_segment and not forward else None
     h = 1e-6 * dt  # "just after" a sample, for its zone
@@ -217,7 +225,7 @@ def _trace(
     if not forward:
         for seq in (samples, values, zones):
             seq.reverse()
-    return Curve(kind, samples, values, zones, termination, flags)
+    return field_._keep(built, Curve(kind, samples, values, zones, termination, flags))
 
 
 def trace_backward_v(field_: SolutionField, x: float, t: float, dt: Optional[float] = None) -> Curve:

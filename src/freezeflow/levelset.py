@@ -30,13 +30,12 @@ every step of that bisection, while a secant on the signed distance to the
 surviving labels chooses which steps need a probe, so a value takes a few
 probes instead of one per step.
 
-Everything known at one level b is one object, cached per field for point,
-grid and sweep queries, which revisit the same levels.  Set queries are not
-cached: a user's (b, t) is rarely asked twice, so a cache would only hold
-memory.  But A(v,b,t) and A(w,b,t) come from the same K and are mostly
-asked together, so a field keeps the level of its latest set query in one
-slot until a query at the same b takes it.  A grid needs fewer levels
-still.  Two levels with no critical value of the data between them and
+Everything known at one level b is one object.  Each query builds its
+levels into a dict of its own, and a field keeps only the levels its latest
+query built, which the next query reads before it builds: a trace in w
+follows one in v from the same point, and A(v,b,t) and A(w,b,t) come from
+the same K.  A level a query only reused is not kept.  A grid needs fewer
+levels still.  Two levels with no critical value of the data between them and
 equal signatures (the order of the nodes and the branch outcomes inside
 the component structure) certify that every end is affine in b between
 them, so the value of each grid point whose membership changes there
@@ -68,7 +67,6 @@ from .problem import ProblemSpec, validate
 INF = math.inf
 
 _MAX_BISECT = 60
-_CACHE_CAP = 400_000
 _SNAP = 1e-3  # grid values this many final cells from a midpoint probe it
 _ROUND = 1e-13  # relative rounding allowed for labels and thresholds in closed form
 _FEW = 16  # grid points whose membership at a level is probed one by one
@@ -502,10 +500,17 @@ def superlevel_set(spec: ProblemSpec, b: float, t: float) -> IntervalUnion:
 
 
 def _padded(lo: float, hi: float, tolerance: float) -> Tuple[float, float, float]:
-    """Bisection's padded bracket for a value range, and its final cell width."""
+    """Bisection's padded bracket for a value range, and its final cell
+    width; ValueError unless lo <= hi and the sum of any two levels in the
+    padded bracket, as in a midpoint, is finite."""
+    if not lo <= hi:  # false for nan too
+        raise ValueError(f"value bracket ({lo!r}, {hi!r}) is not an interval")
     tol = tolerance * max(1.0, hi - lo)
     pad = 1e-9 * (1.0 + abs(lo) + abs(hi)) + 4.0 * tol
-    return lo - pad, hi + pad, tol
+    lo, hi = lo - pad, hi + pad
+    if not (math.isfinite(2.0 * lo) and math.isfinite(2.0 * hi)):
+        raise ValueError(f"value bracket pads to ({lo:g}, {hi:g}), too wide for a finite midpoint")
+    return lo, hi, tol
 
 
 def _front_table(sl: _LevelSlice):
@@ -632,8 +637,8 @@ class _RowProfiles:
     bisection's outcome.
     """
 
-    def __init__(self, field: "SolutionField", xn, ts):
-        self.level = field._pair
+    def __init__(self, field: "SolutionField", xn, ts, built: dict):
+        self.level = lambda b: field._level(b, built)
         self.critical = field._critical
         self.ts = np.array(ts)
         tt = self.ts[:, None]
@@ -783,12 +788,13 @@ class SolutionField:
     Values are bisection's answer in b over the monotone membership
     predicate, found with few probes (see ``_cell``); the absolute
     tolerance is ``tolerance`` scaled by the value range over the query's
-    triangle of determinacy.  All queries are pure, so concurrent reads are
-    safe: the level cache is a pure memoization keyed by b, and set queries
-    read the one level they share (``_level_set``) once into a local, so a
-    race between them costs a rebuild, never a wrong set, since a level is
-    a function of the problem and b alone.  ``warnings`` holds the messages
-    of the non-fatal validation issues (flat segments).
+    triangle of determinacy.  Each query builds its levels into a dict of
+    its own, and the field keeps only the levels its latest successful
+    query built (``_last``), which the next query reads before it builds
+    (``_level``).  All queries are pure, so concurrent reads are safe: a
+    race over ``_last`` costs a rebuild, never a wrong answer, since a level
+    is a function of the problem and b alone.  ``warnings`` holds the
+    messages of the non-fatal validation issues (flat segments).
 
     The integrand sweep integrates the linear extension tails exactly, so
     far-out whole-line queries are as exact as near ones.
@@ -806,8 +812,7 @@ class SolutionField:
             self.warnings = tuple(i.message for i in report.issues if i not in hard)
         self.spec = spec
         self.tolerance = float(tolerance)
-        self._cache: dict = {}
-        self._set_level: Optional[_LevelPair] = None  # see ``_level_set``
+        self._last: dict = {}  # the levels the latest query built, by b
         # every breakpoint value of v0 and w0, and on a segment their values
         # at its ends: the levels where a level-interval end changes piece
         critical = set(spec.v0.ys) | set(spec.w0.ys)
@@ -855,43 +860,36 @@ class SolutionField:
     # -- point evaluation ---------------------------------------------------
 
     def eval_v(self, x: float, t: float, bracket: Optional[Tuple[float, float]] = None) -> float:
-        return self._invert(x, t, bracket, False)
+        built: dict = {}
+        return self._keep(built, self._invert(x, t, bracket, False, built))
 
     def eval_w(self, x: float, t: float, bracket: Optional[Tuple[float, float]] = None) -> float:
-        return self._invert(x, t, bracket, True)
+        built: dict = {}
+        return self._keep(built, self._invert(x, t, bracket, True, built))
 
-    def _invert(
-        self,
-        x: float,
-        t: float,
-        bracket: Optional[Tuple[float, float]],
-        reflected: bool,
-        guess: Optional[float] = None,
-    ) -> float:
+    def _invert(self, x: float, t: float, bracket, reflected: bool, built: dict, guess: Optional[float] = None) -> float:
         """Bisection's answer in b over the membership predicate of one side:
         the midpoint of its final cell (see ``_cell``)."""
-        l, h = self._cell(x, t, bracket, reflected, guess)
+        l, h = self._cell(x, t, bracket, reflected, built, guess)
         return 0.5 * (l + h)
 
-    def _pair(self, b: float) -> _LevelPair:
-        """The level pair at b, from the cache or built into it."""
-        cache = self._cache
-        pair = cache.get(b)
-        if pair is None:
-            if len(cache) > _CACHE_CAP:
-                cache.clear()
-            pair = _LevelPair(self.spec, b)
-            cache[b] = pair
-        return pair
+    def _level(self, b: float, built: dict) -> _LevelPair:
+        """The level at b (the same float, sign of zero included) from the
+        query's own levels ``built``, else from those the latest query
+        built, else built into ``built``."""
+        level = built.get(b) or self._last.get(b)
+        # a key equal to b is the same float unless it is a zero or of another type
+        if level is None or not (b and type(level.b) is type(b)) and not _same_float(level.b, b):
+            level = built[b] = _LevelPair(self.spec, b)
+        return level
 
-    def _cell(
-        self,
-        x: float,
-        t: float,
-        bracket: Optional[Tuple[float, float]],
-        reflected: bool,
-        guess: Optional[float] = None,
-    ) -> Tuple[float, float]:
+    def _keep(self, built: dict, out):
+        """Keep the levels a query built for the next query, and return the
+        query's result; a query that raises never gets here."""
+        self._last = built
+        return out
+
+    def _cell(self, x: float, t: float, bracket, reflected: bool, built: dict, guess: Optional[float] = None):
         """The final cell [l, h] of plain bisection in b over the membership
         predicate of one side.
 
@@ -917,7 +915,8 @@ class SolutionField:
         close the band exceed plain bisection's depth by 14, so an
         evaluation takes at most about 16 probes more than plain bisection.
         The guess and the residual only steer: a wrong one costs probes,
-        never the answer.
+        never the answer.  Each probe reads its level through ``_level``
+        with the query's ``built``.
         """
         self._check_point(x, t)
         lo, hi = bracket if bracket is not None else self._bracket(x, t)
@@ -985,7 +984,7 @@ class SolutionField:
             for b in levels:
                 if not a < b < z:
                     continue
-                sl = self._pair(b).slice(side)
+                sl = self._level(b, built).slice(side)
                 probed.append([b, sl, None])
                 if sl.membership(x0, t) != reflected:
                     z, iz = b, len(probed) - 1
@@ -996,8 +995,8 @@ class SolutionField:
             plain = est is not None and z - a > 0.5 * width
 
     def eval_pair(self, x: float, t: float) -> Tuple[float, float]:
-        br = self._bracket(x, t)
-        return self.eval_v(x, t, br), self.eval_w(x, t, br)
+        br, built = self._bracket(x, t), {}
+        return self._keep(built, (self._invert(x, t, br, False, built), self._invert(x, t, br, True, built)))
 
     # -- sets --------------------------------------------------------------
 
@@ -1008,18 +1007,10 @@ class SolutionField:
         return self._level_set(b, t, 1)
 
     def _level_set(self, b: float, t: float, side: int) -> IntervalUnion:
-        """One side's set, on the level that the latest set query left in
-        ``_set_level`` if it was at the same b (the same float, sign of
-        zero included), else on a fresh level that is left there in turn.
-        A reused level leaves the slot, so it holds at most one unused
-        level; a query that raises leaves the slot as it was."""
-        level = self._set_level
-        reuse = level is not None and _same_float(level.b, b)
-        if not reuse:
-            level = _LevelPair(self.spec, b)
-        out = _level_set(self.spec, level, t, side)
-        self._set_level = None if reuse else level
-        return out
+        """One side's set at b.  A(v,b,t) and A(w,b,t) are mostly asked
+        together, so the second reads the level the first built."""
+        built: dict = {}
+        return self._keep(built, _level_set(self.spec, self._level(b, built), t, side))
 
     # -- grid evaluation -----------------------------------------------------
 
@@ -1054,18 +1045,16 @@ class SolutionField:
         t_hi = max(ts)
         lo, hi, tol = self._span_bracket(min(xs) - t_hi, max(xs) + t_hi)
         xn = np.array([self._nudge(x) for x in xs])
-        return _RowProfiles(self, xn, ts).values(lo, hi, tol)
+        built: dict = {}
+        return self._keep(built, _RowProfiles(self, xn, ts, built).values(lo, hi, tol))
 
     def _span_bracket(self, lo_x: float, hi_x: float) -> Tuple[float, float, float]:
         """The padded value bracket of [lo_x, hi_x] within the domain and its
-        final cell width; ValueError where the padding overflows."""
+        final cell width (see ``_padded``)."""
         dom = self.spec.domain
         if dom.is_segment:
             lo_x, hi_x = max(lo_x, dom.a1), min(hi_x, dom.a2)
-        lo, hi, tol = _padded(*self._value_range(lo_x, hi_x), self.tolerance)
-        if not math.isfinite(hi - lo):
-            raise ValueError(f"the values over [{lo_x:g}, {hi_x:g}] pad to [{lo:g}, {hi:g}], which is not finite")
-        return lo, hi, tol
+        return _padded(*self._value_range(lo_x, hi_x), self.tolerance)
 
     def _sweep(self, lo_x: float, hi_x: float):
         """The levels of one sweep in b over the padded value bracket of
@@ -1078,10 +1067,10 @@ class SolutionField:
         last representable midpoint, or ``_MAX_BISECT`` halvings.
         """
         lo, hi, _ = self._span_bracket(lo_x, hi_x)
-        critical = self._critical
-        levels, depths, affine = [self._pair(lo)], [0], []
+        critical, built = self._critical, {}
+        levels, depths, affine = [self._level(lo, built)], [0], []
         for b in critical[bisect_right(critical, lo):bisect_left(critical, hi)] + [hi]:
-            stack = [(self._pair(b), 0)]  # upper ends still to reach, nearest last
+            stack = [(self._level(b, built), 0)]  # upper ends still to reach, nearest last
             while stack:
                 high, own = stack[-1]
                 depth = max(own, depths[-1])
@@ -1093,8 +1082,8 @@ class SolutionField:
                     depths.append(own)
                     affine.append(same)
                 else:
-                    stack.append((self._pair(mid), depth + 1))
-        return levels, affine
+                    stack.append((self._level(mid, built), depth + 1))
+        return self._keep(built, (levels, affine))
 
     # -- misc ---------------------------------------------------------------
 

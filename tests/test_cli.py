@@ -163,6 +163,21 @@ def test_domain_violation_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--fixture", "wedge", "--kind", "v", "--direction", "backward", "--x", "0.5", "--t", "1e308", "--dt", "1e306"],
+        ["solve", "--fixture", "wedge", "--grid", "2,2", "--window=0,1,0,1e308"],
+    ],
+    ids=["trace", "solve"],
+)
+def test_value_bracket_too_wide_for_a_midpoint_exit_3(capsys, argv):
+    # values near 1e308 have a midpoint that overflows: these printed inf
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert "inf" not in captured.out and captured.err.count("\n") == 1 and "midpoint" in captured.err
+
+
 @pytest.mark.parametrize("dt", ["0", "-0.1", "nan"])
 def test_trace_bad_step_exit_2(dt):
     # a zero step used to loop forever, so a timeout guards the suite

@@ -16,6 +16,9 @@ from freezeflow import (
     random_pl_spec,
     sublevel_set,
     superlevel_set,
+    trace_backward_v,
+    trace_forward_v,
+    trace_forward_w,
 )
 from freezeflow.fixtures import FIXTURES, wedge_v_exact, wedge_w_exact
 from freezeflow import levelset
@@ -253,8 +256,8 @@ def _field_set(field, b, t, side):
 
 
 class TestSetLevelSlot:
-    """A field's set queries hand their level on to the next set query at
-    the same b, so A(v,b,t) and A(w,b,t) build one level together."""
+    """A field keeps only the levels its latest query built (the slot,
+    ``_last``), so A(v,b,t) and A(w,b,t) asked in turn build one level."""
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0), (0, 0)], ids=["sub-super", "super-sub", "sub-sub"])
     def test_field_equals_module_in_any_order(self, order):
@@ -279,7 +282,7 @@ class TestSetLevelSlot:
         want = [signed(_module_set(spec, b, t, side)) for b, t, side in queries]
         built = _count_levels(monkeypatch)
         assert [signed(_field_set(field, b, t, side)) for b, t, side in queries] == want
-        # the slot holds 0.7 when super at 0.3 comes, so that builds 0.3
+        # the field keeps 0.7 when super at 0.3 comes, so that builds 0.3
         # again, and only the last query reuses a level
         assert built == [0.3, 0.7, 0.3]
 
@@ -294,17 +297,27 @@ class TestSetLevelSlot:
             assert signed(built) == signed([0.0, -0.0])
             monkeypatch.undo()
 
+    def test_an_int_b_is_another_level(self, monkeypatch):
+        # a level keeps the b it was built at, so 1 and 1.0 share none
+        spec = get_fixture("wedge").build()
+        field = SolutionField(spec)
+        built = _count_levels(monkeypatch)
+        got = [signed(field.sublevel_set(1, 1.0)), signed(field.superlevel_set(1.0, 1.0))]
+        assert [type(b) for b in built] == [int, float]
+        monkeypatch.undo()
+        assert got == [signed(_module_set(spec, b, 1.0, side)) for b, side in ((1, 0), (1.0, 1))]
+
     def test_pair_builds_one_level_and_empties_the_slot(self, monkeypatch):
         field = SolutionField(get_fixture("wedge").build())
         built = _count_levels(monkeypatch)
         field.sublevel_set(0.5, 1.0)
-        assert field._set_level.b == 0.5
+        assert [level.b for level in field._last.values()] == [0.5]
         field.superlevel_set(0.5, 2.0)  # the level does not depend on t
         assert built == [0.5]
-        assert field._set_level is None
-        field.superlevel_set(0.5, 2.0)  # the slot is empty, so it builds again
+        assert field._last == {}  # a level the query only reused is not kept
+        field.superlevel_set(0.5, 2.0)  # so this builds it again
         assert built == [0.5, 0.5]
-        assert field._set_level.b == 0.5
+        assert [level.b for level in field._last.values()] == [0.5]
 
     @pytest.mark.parametrize(
         "b,t",
@@ -314,14 +327,48 @@ class TestSetLevelSlot:
     def test_bad_input_leaves_the_slot(self, monkeypatch, b, t):
         field = SolutionField(get_fixture("seg-tent").build())
         field.sublevel_set(0.5, 1.0)
-        level = field._set_level
+        kept = field._last
+        level = kept[0.5]
         for side in (0, 1):
             with pytest.raises(ValueError):
                 _field_set(field, b, t, side)
-            assert field._set_level is level
+            assert field._last is kept and kept == {0.5: level}
         built = _count_levels(monkeypatch)
         field.superlevel_set(0.5, 1.0)
-        assert built == [] and field._set_level is None
+        assert built == [] and field._last == {}
+
+
+class TestBrackets:
+    """Every bracket bisection starts from is an interval whose padded ends
+    can be summed without overflow, so every midpoint is finite."""
+
+    def test_point_bracket_too_wide_for_a_midpoint(self, wedge_spec):
+        # both ends of the final cell lie near 1e308: the midpoint used to be inf
+        field = SolutionField(wedge_spec)
+        for query in (field.eval_v, field.eval_w, field.eval_pair):
+            with pytest.raises(ValueError, match="midpoint"):
+                query(0.5, 1e308)
+        assert field._last == {}
+
+    def test_trace_bracket_too_wide_for_a_midpoint(self, wedge_spec):
+        with pytest.raises(ValueError, match="midpoint"):
+            trace_backward_v(SolutionField(wedge_spec), 0.5, 1e308, dt=1e306)
+
+    def test_grid_bracket_too_wide_for_a_midpoint(self, wedge_spec):
+        with pytest.raises(ValueError, match="midpoint"):
+            SolutionField(wedge_spec).eval_grid([0.0, 1.0], [0.0, 1e308])
+
+    @pytest.mark.parametrize(
+        "bracket",
+        [(1.0, 0.0), (math.nan, 1.0), (0.0, math.nan), (-INF, 1.0), (0.0, INF), (-1e308, 1e308)],
+        ids=["reversed", "nan-lo", "nan-hi", "inf-lo", "inf-hi", "too-wide"],
+    )
+    def test_bad_user_bracket(self, wedge_spec, bracket):
+        # these raised "math domain error" or returned nan
+        field = SolutionField(wedge_spec)
+        for query in (field.eval_v, field.eval_w):
+            with pytest.raises(ValueError, match="value bracket"):
+                query(1.0, 1.0, bracket)
 
 
 class TestEval:
@@ -489,7 +536,7 @@ def _count_probes(monkeypatch):
 def _assert_near_plain_depth(field, x, t, reflected, probes):
     """The steered value is bisection's, from at most 16 probes more."""
     probes.append(0)
-    value = field._invert(x, t, None, reflected)
+    value = field._invert(x, t, None, reflected, {})
     steered = probes[-1]
     probes.append(0)
     assert value == bisection_reference(field, x, t, None, reflected), (field.spec, x, t)
@@ -724,21 +771,32 @@ def test_frozen_segments_carry_their_level():
                 assert max(abs(v - level.b), abs(w - level.b)) <= field.zone_epsilon(), (level.b, x, t, v, w)
 
 
-def test_shared_level_cache_keeps_no_grid_times():
-    # grids, point queries and the sweep read one level cache; two grids on
-    # one bracket share levels but not times, so nothing that depends on a
-    # grid's times may stay on a cached level
+def _traced(trace, f, x, t):
+    c = trace(f, x, t, 0.05, t + 0.5)
+    return [c.samples, c.values, c.zones, c.termination]
+
+
+def test_kept_levels_carry_no_query_state():
+    # every query reads the levels the one before it built; two grids on one
+    # bracket share levels but not times, a w trace reads a v trace's levels
+    # and a superlevel set a sublevel set's, so nothing that depends on one
+    # query's times or side may stay on a kept level
     rng = np.random.default_rng(13)
     for spec in _fixtures_and_random_specs(n_random=3):
         lo, hi = spec.breakpoint_span()
         dom = spec.domain
         x0, x1 = (dom.a1, dom.a2) if dom.is_segment else (lo - 1.0, hi + 1.0)
         xs = sorted(rng.uniform(x0, x1, size=8).tolist())  # more points than _FEW
+        b = float(np.median(spec.v0.ys + spec.w0.ys))
         calls = [
             lambda f: f.eval_grid(xs, [0.0, 0.5, 1.5]),
             lambda f: f.eval_grid(xs, [1.5, 0.25, 1.0, 0.0]),  # the same bracket
             lambda f: [f.eval_v(x, t) for x in xs[:3] for t in (0.5, 1.5)] + [f.eval_w(x, 0.25) for x in xs[2:]],
             lambda f: [(level.b, level.frozen()) for level in f._sweep(x0, x1)[0]] + f._sweep(x0, x1)[1],
+            lambda f: _traced(trace_forward_v, f, xs[3], 0.5),
+            lambda f: _traced(trace_forward_w, f, xs[3], 0.5),
+            lambda f: signed(f.sublevel_set(b, 0.5)),
+            lambda f: signed(f.superlevel_set(b, 1.5)),
         ]
         shared = SolutionField(spec, tolerance=1e-9)
         for call in calls:
