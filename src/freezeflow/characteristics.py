@@ -115,13 +115,18 @@ def classify(
     return field_._keep(built, _zone(field_, x, t, eps, built))
 
 
-def _zone(field_: SolutionField, x: float, t: float, eps: float, built: dict) -> ZoneLabel:
-    """``classify`` on the levels of the query that ``built`` belongs to."""
+def _zone(
+    field_: SolutionField, x: float, t: float, eps: float, built: dict, known: Optional[Tuple[bool, float]] = None
+) -> ZoneLabel:
+    """``classify`` on the levels of the query that ``built`` belongs to;
+    ``known`` is one side's (reflected, value) at (x, t) where the caller
+    has already inverted it, so only the other side is inverted there."""
 
-    def gap(s):
-        return field_._invert(x, s, None, False, built) - field_._invert(x, s, None, True, built)
+    def gap(s, given=None):
+        v, w = (given[1] if given and given[0] is r else field_._invert(x, s, None, r, built) for r in (False, True))
+        return v - w
 
-    if gap(t) > eps:
+    if gap(t, known) > eps:
         return ZoneLabel.LIQUID
     lam = field_.spec.lipschitz
     probe = max(4.0 * eps / max(lam, 1.0), 1e-6)
@@ -162,7 +167,7 @@ def _trace(
     start = field_._bracket(x, t)
     b_lo, b_hi = field_._cell(x, t, start, not v_char, built)
     value = 0.5 * (b_lo + b_hi)
-    zone0 = _zone(field_, x, t, eps, built)
+    zone0 = _zone(field_, x, t, eps, built, (not v_char, value))
     flags = [(x, t, "boundary start")] if zone0 is ZoneLabel.BOUNDARY else []
     # the slices at the ends of the start's final cell, between which
     # certification puts the exact value; w is v of the mirrored problem,

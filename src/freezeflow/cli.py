@@ -144,17 +144,22 @@ def cmd_solve(args) -> int:
     thaws = np.zeros_like(liquid)
     thaws[:-1] = liquid[1:]
     zones = np.where(liquid, "liquid", np.where(thaws, "boundary", "frozen"))
-    columns = [a.ravel().tolist() for a in (V, W, V + W, V - W, zones)]
+    values = [a.ravel() for a in (V, W, V + W, V - W)]
+    zone_col = zones.ravel().tolist()
     if args.format == "json":
         X, T = np.meshgrid(xs, ts)
         keys = ("x", "t", "v", "w", "mu", "sigma", "zone")
-        payload = _json_text([dict(zip(keys, r)) for r in zip(X.ravel().tolist(), T.ravel().tolist(), *columns)])
+        columns = [X.ravel().tolist(), T.ravel().tolist()] + [a.tolist() for a in values] + [zone_col]
+        payload = _json_text([dict(zip(keys, r)) for r in zip(*columns)])
     else:
-        # each x and each t is formatted once, not once per row
-        x_col = ["%.12g" % x for x in xs.tolist()] * nt
-        t_col = [s for t in ts.tolist() for s in ["%.12g" % t] * nx]
-        line = "%s,%s,%.12g,%.12g,%.12g,%.12g,%s\n"
-        payload = "x,t,v,w,mu,sigma,zone\n" + "".join([line % r for r in zip(x_col, t_col, *columns)])
+        # each x, each t and each distinct value (by its bits, so -0.0 stays
+        # "-0") is formatted once, not once per row
+        columns = [["%.12g" % x for x in xs.tolist()] * nt, [s for t in ts.tolist() for s in ["%.12g" % t] * nx]]
+        for a in values:
+            bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+            text = np.array(["%.12g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+            columns.append(text[inverse].tolist())
+        payload = "x,t,v,w,mu,sigma,zone\n" + "".join([",".join(r) + "\n" for r in zip(*columns, zone_col)])
     _write(args.out, payload)
     return 0
 

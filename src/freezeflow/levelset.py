@@ -551,29 +551,31 @@ def _half_line(ga, gb, l, w):
     return lower, upper
 
 
-def _exact_values(l, h, side, t, x0, p1, p2, ta, tb, f1, f2, r):
+def _exact_values(l, h, side, t, p1, p2, ta, tb, f1, f2, r, g, x0):
     """Where membership begins (side 0) or ends (side 1) in cells [l, h]
-    with equal signatures at both ends, one point per row, and a bound on
-    how far rounding can have moved that level.
+    with equal signatures at both ends, and a bound on how far rounding can
+    have moved that level.
 
-    Membership at b is p(b) <= x0 <= front(b, t) in the component that
-    holds x0 where it is a member.  p is affine in b from p1 to p2.  The
-    front follows the branch of ``_front`` whose threshold, ta to tb, is the
-    first that t does not exceed; each branch's front is affine in b from
-    f1 - r t to f2 - r t, so it changes branch only at the roots of the
-    thresholds at t, and between them the set of b is an interval.
+    The arguments before g have one row per group: a cell, a component and
+    a grid time t.  Point i has group g[i] and label x0[i].  Membership at b
+    is p(b) <= x0 <= front(b, t) in the component that holds x0 where it is
+    a member.  p is affine in b from p1 to p2.  The front follows the branch
+    of ``_front`` whose threshold, ta to tb, is the first that t does not
+    exceed; each branch's front is affine in b from f1 - r t to f2 - r t, so
+    it changes branch only at the roots of the thresholds at t, and between
+    them the set of b is an interval.  Those roots and the branches between
+    them are found once per group; only the label's part runs once per point.
 
     Labels and thresholds are known to ``_ROUND`` of their size; a
     constraint that is that close to binding at the value moves it by that
     much over its rate of change in b.
     """
     n, m = ta.shape
-    ar = np.arange(n)
     w = (h - l)[:, None]
     lc, hc, tc = l[:, None], h[:, None], t[:, None]
-    rising = side == 0
     crossed = (np.minimum(ta, tb) < tc) & (tc < np.maximum(ta, tb))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # infinite ends and thresholds
+        # once per group
         roots = np.where(crossed, lc + (tc - ta) * w / (tb - ta), hc)
         slope = np.where(ta == tb, 0.0, tb - ta)
         order = np.argsort(roots, axis=1)
@@ -585,11 +587,16 @@ def _exact_values(l, h, side, t, x0, p1, p2, ta, tb, f1, f2, r):
         branch = np.full(ra.shape, m)
         for i in range(m - 1, -1, -1):  # the first threshold that t does not exceed wins
             branch = np.where(tc <= ta[:, i:i + 1] + slope[:, i:i + 1] * lam, i, branch)
-        shift = r * tc + x0[:, None]
-        fa = np.take_along_axis(f1 - shift, branch, 1)
-        fb = np.take_along_axis(f2 - shift, branch, 1)
-        f_lo, f_hi = _half_line(fa, fb, lc, w)
-        pa, pb = x0 - p1, x0 - p2
+        ends = [_finite_abs(p1), _finite_abs(p2), _finite_abs(f1).max(axis=1), _finite_abs(f2).max(axis=1)]
+        bound = np.maximum.reduce(ends)
+        f1, f2, r = (np.take_along_axis(a, branch, 1) for a in (f1, f2, r))
+        # once per point
+        ar = np.arange(len(g))
+        l, h, w, t, rising, ra, rb = l[g], h[g], w[g], t[g], side[g] == 0, ra[g], rb[g]
+        shift = r[g] * t[:, None] + x0[:, None]
+        fa, fb = f1[g] - shift, f2[g] - shift
+        f_lo, f_hi = _half_line(fa, fb, l[:, None], w)
+        pa, pb = x0 - p1[g], x0 - p2[g]
         p_lo, p_hi = _half_line(pa, pb, l, w[:, 0])
         start = np.maximum(np.maximum(ra, f_lo), p_lo[:, None])
         end = np.minimum(np.minimum(rb, f_hi), p_hi[:, None])
@@ -598,16 +605,14 @@ def _exact_values(l, h, side, t, x0, p1, p2, ta, tb, f1, f2, r):
         found = ok[ar, j]
         c = np.where(rising, start[ar, j], end[ar, j])
         # the error bound: each constraint within rounding of binding at c
-        ends = [_finite_abs(p1), _finite_abs(p2), _finite_abs(f1).max(axis=1), _finite_abs(f2).max(axis=1)]
-        size = np.abs(x0) + t + np.maximum.reduce(ends)
-        tiny = _ROUND * size
+        tiny = _ROUND * (np.abs(x0) + t + bound[g])
         lam_c = (c - l) / w[:, 0]
         err = _ROUND * np.abs(c)
         for ga, gb in ((fa[ar, j], fb[ar, j]), (pa, pb)):
             near = np.abs(ga + (gb - ga) * lam_c) <= tiny
             err = np.maximum(err, np.where(near, tiny * w[:, 0] / np.abs(gb - ga), 0.0))
         at_root = c == np.where(rising, ra[ar, j], rb[ar, j])
-        err = np.maximum(err, np.where(at_root, tiny / np.where(rising, rates[ar, j], rates[ar, j + 1]), 0.0))
+        err = np.maximum(err, np.where(at_root, tiny / rates[g, np.where(rising, j, j + 1)], 0.0))
     # rounding can leave the set empty: then every midpoint in the cell is probed
     c = np.where(found, c, np.where(rising, h, l))
     return np.clip(c, l, h), np.where(found, err, w[:, 0])
@@ -628,7 +633,9 @@ class _RowProfiles:
     equal signatures are merged.  A point whose membership changes inside a
     merged cell gets its exact value c in closed form: every component end
     is affine in b there, and the branch ``_front`` takes at the point's t
-    changes only where one of its thresholds, affine in b, crosses t.  A
+    changes only where one of its thresholds, affine in b, crosses t.  Those
+    crossings depend on the cell, the component and the row alone, so they
+    are solved once per such group and only the label's part per point.  A
     point whose membership changes inside an unmergeable final cell gets
     that cell's midpoint.  Each c then becomes bisection's answer by walking
     bisection's path with ``mid < c`` deciding each step; a midpoint within
@@ -727,13 +734,19 @@ class _RowProfiles:
     def _closed_form(self, cells, C, E):
         """Exact values C of the points in cells whose end levels have equal
         signatures, given as (level at l, level at h, side, points), and the
-        bounds E on their rounding.  Points are solved in batches of about ``_CHUNK`` whose tables have
-        the same number of thresholds."""
+        bounds E on their rounding.  The points of a cell on one component
+        and one grid row form a group, which shares every input of
+        ``_exact_values`` but the label.  Points are solved in batches of
+        about ``_CHUNK`` whose tables have the same number of thresholds.
+        """
+        nt = len(self.ts)
         batches: dict = {}
 
-        def solve(rows):
-            l, h, side, idx, *rest = (np.concatenate(col) for col in zip(*rows))
-            c, err = _exact_values(l, h, side, self.t[idx], *rest)
+        def solve(groups, rows):
+            groups = [np.concatenate(col) for col in zip(*groups)]
+            g, idx, x0 = (np.concatenate(col) for col in zip(*rows))
+            c, err = _exact_values(*groups, g, x0)
+            side = groups[2][g]
             for s, mask in enumerate((side == 0, side == 1)):
                 C[s][idx[mask]] = c[mask]
                 E[s][idx[mask]] = err[mask]
@@ -741,21 +754,23 @@ class _RowProfiles:
         for low, high, side, points in cells:
             P1, T1, F1, R = low.table(side)
             P2, T2, F2, _ = high.table(side)
-            batch = batches.setdefault(T1.shape[1], [[], 0])
+            groups, rows = batches.setdefault(T1.shape[1], ([], []))
             for start in range(0, len(points), _CHUNK):
                 idx = points[start:start + _CHUNK]
                 x0 = self.x0[side][idx]
                 k = np.searchsorted(P1 if side else P2, x0, side="right") - 1
-                n = len(idx)
-                cell = (np.full(n, low.b), np.full(n, high.b), np.full(n, side), idx, x0)
-                batch[0].append(cell + (P1[k], P2[k], T1[k], T2[k], F1[k], F2[k], R[k]))
-                batch[1] += n
-                if batch[1] >= _CHUNK:
-                    solve(batch[0])
-                    batch[:] = [[], 0]
-        for rows, n in batches.values():
-            if n:
-                solve(rows)
+                # group ids follow those of the batch; k = -1, where P1[k] wraps, keys groups of its own
+                keys, g = np.unique((k + 1) * nt + self.rows[idx], return_inverse=True)
+                k, n = keys // nt - 1, len(keys)
+                rows.append((g + sum(len(group[0]) for group in groups), idx, x0))
+                cell = (np.full(n, low.b), np.full(n, high.b), np.full(n, side), self.ts[keys % nt])
+                groups.append(cell + (P1[k], P2[k], T1[k], T2[k], F1[k], F2[k], R[k]))
+                if sum(len(row[1]) for row in rows) >= _CHUNK:
+                    solve(groups, rows)
+                    del groups[:], rows[:]
+        for groups, rows in batches.values():
+            if rows:
+                solve(groups, rows)
 
     def _snap(self, C, E, side, lo, hi, tol):
         """Bisection's answers for exact values C known to within E, probing

@@ -305,3 +305,25 @@ def test_wedge_traces_build_few_levels(monkeypatch):
     cw = trace_backward_w(field, 4.0, 1.0)
     assert len(built) == 4
     assert len(cv.samples) == len(cw.samples) == 1001
+
+
+
+@pytest.mark.parametrize("name, x, t", [("wedge", 4.0, 1.0), ("wedge", 2.0, 0.9), ("seg-tent", 0.3, 0.8)])
+def test_trace_inverts_its_start_once(monkeypatch, name, x, t):
+    # the start's zone reuses the start's value, so each side is inverted
+    # once at (x, t), and the zone is still classify's
+    spec = get_fixture(name).build()
+    zone = classify(SolutionField(spec), x, t)
+    calls = []
+    cell = SolutionField._cell
+
+    def counted(self, xs, ts, bracket, reflected, *args):
+        calls.append((xs, ts, reflected))
+        return cell(self, xs, ts, bracket, reflected, *args)
+
+    monkeypatch.setattr(SolutionField, "_cell", counted)
+    for tracer in (trace_backward_v, trace_backward_w):
+        calls.clear()
+        curve = tracer(SolutionField(spec), x, t)
+        assert calls.count((x, t, False)) == calls.count((x, t, True)) == 1
+        assert curve.zones[-1] is zone
