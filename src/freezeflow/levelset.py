@@ -39,12 +39,12 @@ levels still.  Two levels with no critical value of the data between them and
 equal signatures (the order of the nodes and the branch outcomes inside
 the component structure) certify that every end is affine in b between
 them, so the value of each grid point whose membership changes there
-follows in closed form.  The shared bracket is split on bisection's
-lattice only until each value lies in such a cell or in a final cell, and
-each exact value is snapped to bisection's answer, with a real probe where
-a midpoint comes close to it.  The same signatures let one sweep with a
-level at every critical value follow the frozen segments, where a v front
-and a w front stand at one x, for the freezing and thawing curves.
+follows in closed form and is snapped to bisection's answer, with a real
+probe where a midpoint comes close to it.  One routine splits a bracket
+into such cells (``SolutionField._split``): for a grid, until each value
+lies in one or in a final cell, and for one sweep in b that follows the
+frozen segments, where a v front and a w front stand at one x, for the
+freezing and thawing curves.
 
 Empty-set convention: if the running integral never goes negative the point
 is never annihilated, so alpha_v returns +inf (alpha_w returns -inf) and the
@@ -627,26 +627,26 @@ class _RowProfiles:
 
     The v side of point (x, t) reads the sublevel slices at label x - t and
     the w side the reflected slices at -(x + t), both at the nudged x.  The
-    shared padded bracket is split on bisection's own lattice of midpoints,
-    but only where a cell's two end levels have different signatures and
-    some point's membership changes between them; neighbouring cells with
-    equal signatures are merged.  A point whose membership changes inside a
-    merged cell gets its exact value c in closed form: every component end
+    shared padded bracket is split by ``SolutionField._split`` with the
+    grid's points and its final cell width as the floor, and neighbouring
+    affine cells are merged.  A point whose membership changes inside an
+    affine cell gets its exact value c in closed form: every component end
     is affine in b there, and the branch ``_front`` takes at the point's t
     changes only where one of its thresholds, affine in b, crosses t.  Those
     crossings depend on the cell, the component and the row alone, so they
     are solved once per such group and only the label's part per point.  A
-    point whose membership changes inside an unmergeable final cell gets
-    that cell's midpoint.  Each c then becomes bisection's answer by walking
-    bisection's path with ``mid < c`` deciding each step; a midpoint within
-    ``_SNAP`` final cells of c, or within the bound on its rounding, is
-    decided by a real membership probe, so ties and frozen points keep
+    point whose membership changes inside any other cell gets the cell's
+    midpoint, known to within half the cell.  Each c then becomes
+    bisection's answer by walking bisection's path with ``mid < c``
+    deciding each step; a midpoint within ``_SNAP`` final cells of c, or
+    within the bound on its error, is decided by a real membership probe,
+    so ties, frozen points and the midpoints inside a final cell keep
     bisection's outcome.
     """
 
     def __init__(self, field: "SolutionField", xn, ts, built: dict):
+        self.field, self.built = field, built
         self.level = lambda b: field._level(b, built)
-        self.critical = field._critical
         self.ts = np.array(ts)
         tt = self.ts[:, None]
         self.shape = (len(ts), len(xn))
@@ -677,11 +677,11 @@ class _RowProfiles:
         k = np.searchsorted(P, x0, side="right") - 1
         return (k >= 0) & (x0 <= fronts[np.maximum(k, 0), self.rows[idx]])
 
-    def affine(self, low: _LevelPair, high: _LevelPair) -> bool:
-        """Equal signatures and no critical value in (low.b, high.b]: every
-        end is affine in b from one level to the other."""
-        i = bisect_right(self.critical, low.b)
-        return (i == len(self.critical) or self.critical[i] > high.b) and low.same(high)
+    def split(self, level: _LevelPair, points):
+        """The given (v, w) points whose values lie below and above a level."""
+        v_in = self.members(level, 0, points[0])  # value at most b
+        w_in = self.members(level, 1, points[1])  # value at least b
+        return (points[0][v_in], points[1][~w_in]), (points[0][~v_in], points[1][w_in])
 
     def values(self, lo: float, hi: float, tol: float):
         every = np.arange(self.t.size)
@@ -690,46 +690,23 @@ class _RowProfiles:
         at_hi = [self.members(last, side, every) for side in (0, 1)]
         # a point whose membership never changes gets one end of the bracket
         C = [np.where(at_lo[0], -INF, INF), np.where(at_hi[1], INF, -INF)]
-        inside = (np.flatnonzero(at_hi[0] & ~at_lo[0]), np.flatnonzero(at_lo[1] & ~at_hi[1]))
-        exact = []
-        for low, high, points in self._cells(first, last, tol, inside):
-            affine = self.affine(low, high)
-            for side, idx in enumerate(points):
-                if not len(idx):
-                    continue
-                if affine:
-                    exact.append((low, high, side, idx))
-                else:
-                    C[side][idx] = 0.5 * (low.b + high.b)
         E = [np.zeros(self.t.size), np.zeros(self.t.size)]
+        inside = (np.flatnonzero(at_hi[0] & ~at_lo[0]), np.flatnonzero(at_lo[1] & ~at_hi[1]))
+        cells: list = []
+        for low, high, affine, points in self.field._split(first, last, self.built, tol, inside, self.split):
+            if affine and cells and cells[-1][2] and self.field._affine(cells[-1][0], high):
+                prev = cells.pop()
+                low, points = prev[0], tuple(np.concatenate(pair) for pair in zip(prev[3], points))
+            cells.append((low, high, affine, points))
+        exact = []
+        for low, high, affine, points in cells:
+            for side, idx in enumerate(points):
+                if not affine:  # every midpoint inside the cell is probed
+                    C[side][idx], E[side][idx] = 0.5 * (low.b + high.b), 0.5 * (high.b - low.b)
+                elif len(idx):
+                    exact.append((low, high, side, idx))
         self._closed_form(exact, C, E)
         return tuple(self._snap(C[side], E[side], side, lo, hi, tol).reshape(self.shape) for side in (0, 1))
-
-    def _cells(self, first, last, tol, inside):
-        """Cells (level at l, level at h, (v points, w points)) between two
-        levels holding the values of the given points, in order."""
-        cells: list = []
-        stack = [(first, last, 0, inside)]
-        while stack:
-            low, high, depth, points = stack.pop()
-            if not (len(points[0]) or len(points[1])):
-                continue
-            if self.affine(low, high):
-                if cells and self.affine(cells[-1][0], high):
-                    plow, _, pp = cells[-1]
-                    cells[-1] = (plow, high, tuple(np.concatenate(pair) for pair in zip(pp, points)))
-                else:
-                    cells.append((low, high, points))
-                continue
-            if high.b - low.b <= tol or depth >= _MAX_BISECT:
-                cells.append((low, high, points))
-                continue
-            middle = self.level(0.5 * (low.b + high.b))
-            v_in = self.members(middle, 0, points[0])  # value at most mid
-            w_in = self.members(middle, 1, points[1])  # value at least mid
-            stack.append((middle, high, depth + 1, (points[0][~v_in], points[1][w_in])))
-            stack.append((low, middle, depth + 1, (points[0][v_in], points[1][~w_in])))
-        return cells
 
     def _closed_form(self, cells, C, E):
         """Exact values C of the points in cells whose end levels have equal
@@ -929,6 +906,8 @@ class SolutionField:
         stops once the probes so far plus the plain steps still needed to
         close the band exceed plain bisection's depth by 14, so an
         evaluation takes at most about 16 probes more than plain bisection.
+        A final cell within rounding of the bracket's values is never
+        steered to: every midpoint on the path is probed.
         The guess and the residual only steer: a wrong one costs probes,
         never the answer.  Each probe reads its level through ``_level``
         with the query's ``built``.
@@ -937,6 +916,7 @@ class SolutionField:
         lo, hi = bracket if bracket is not None else self._bracket(x, t)
         lo, hi, tol = _padded(lo, hi, self.tolerance)
         budget = min(math.log2((hi - lo) / tol), _MAX_BISECT) + 14  # plain depth + 14
+        rounding = tol <= _ROUND * (1.0 + abs(lo) + abs(hi))
         xn = self._nudge(x)
         if reflected:
             x0, side, sign = -(xn + t), 1, -1.0
@@ -968,11 +948,11 @@ class SolutionField:
                 depth += 1
             else:
                 return lo, hi
-            est = None if probed else guess
             n = len(probed)
             # the plain steps left never exceed plain depth, so the first 14
             # probes are always within the budget
-            steer = n <= 14 or n + min(math.log2((z - a) / tol), _MAX_BISECT - depth) <= budget
+            steer = not rounding and (n <= 14 or n + min(math.log2((z - a) / tol), _MAX_BISECT - depth) <= budget)
+            est = guess if steer and not probed else None
             if 1 < n and steer and not plain:
                 # a secant through the two latest probes when both moved the
                 # same end, else through the probes at a and z
@@ -1038,12 +1018,12 @@ class SolutionField:
         grid, as ``eval_v`` and ``eval_w`` return it with that bracket, but
         it is read off a few certified levels instead of one bisection per
         point (see ``_RowProfiles``).  For piecewise-linear data every
-        level-set end is affine in b between two levels with equal
-        signatures (see ``_LevelPair``), so each point's exact value follows in
-        closed form; a walk down bisection's path turns it into bisection's
-        answer, with a real membership probe wherever a midpoint comes within
-        ``_SNAP`` final cells of it or within its rounding bound.  Only that
-        final inversion is approximate.
+        level-set end is affine in b across an affine cell of ``_split``,
+        so each point's exact value follows in closed form; a walk down
+        bisection's path turns it into bisection's answer, with a real
+        membership probe wherever a midpoint comes within ``_SNAP`` final
+        cells of it or within its error bound.  Only that final inversion
+        is approximate.
         """
         xs = [float(x) for x in xs]
         ts = [float(t) for t in ts]
@@ -1073,32 +1053,51 @@ class SolutionField:
 
     def _sweep(self, lo_x: float, hi_x: float):
         """The levels of one sweep in b over the padded value bracket of
-        [lo_x, hi_x] (within the domain), in order, and per cell between
-        neighbours whether their signatures agree.
-
-        Every critical value inside the bracket is a level, so no critical
-        value lies inside a cell and equal signatures (``same``) make it
-        affine; a cell whose end signatures differ is bisected down to its
-        last representable midpoint, or ``_MAX_BISECT`` halvings.
-        """
+        [lo_x, hi_x] (within the domain), in order, and whether each cell
+        between neighbours is affine: the cells of ``_split`` with no points,
+        so every critical value inside the bracket is a level, unmerged."""
         lo, hi, _ = self._span_bracket(lo_x, hi_x)
-        critical, built = self._critical, {}
-        levels, depths, affine = [self._level(lo, built)], [0], []
-        for b in critical[bisect_right(critical, lo):bisect_left(critical, hi)] + [hi]:
-            stack = [(self._level(b, built), 0)]  # upper ends still to reach, nearest last
-            while stack:
-                high, own = stack[-1]
-                depth = max(own, depths[-1])
-                same = levels[-1].same(high)
-                mid = 0.5 * (levels[-1].b + high.b)
-                if same or depth >= _MAX_BISECT or not levels[-1].b < mid < high.b:
-                    stack.pop()
-                    levels.append(high)
-                    depths.append(own)
-                    affine.append(same)
-                else:
-                    stack.append((self._level(mid, built), depth + 1))
-        return self._keep(built, (levels, affine))
+        built: dict = {}
+        cells = self._split(self._level(lo, built), self._level(hi, built), built)
+        return self._keep(built, ([cells[0][0]] + [cell[1] for cell in cells], [cell[2] for cell in cells]))
+
+    def _affine(self, low: _LevelPair, high: _LevelPair) -> bool:
+        """No critical value strictly between two levels and equal
+        signatures: every end is affine in b from one to the other."""
+        i = bisect_right(self._critical, low.b)
+        return (i == len(self._critical) or self._critical[i] >= high.b) and low.same(high)
+
+    def _split(self, first: _LevelPair, last: _LevelPair, built: dict, floor: float = 0.0, points=None, split=None):
+        """The cells between two levels, in order, as (level at l, level at
+        h, affine, points): the one way grids and the sweep split b.
+
+        A cell is affine (``_affine``) when no critical value lies strictly
+        inside it and its end signatures agree.  Every end is continuous in
+        b, so a level at a critical value closes the cells on both sides of
+        it.  Any other cell that holds points is split at its middle
+        critical value, else at its midpoint, until it is no wider than
+        ``floor``, is ``_MAX_BISECT`` halvings past its last critical value,
+        or has no representable midpoint.  ``split(level, points)`` parts
+        the values in ``points`` into those below and above a level, and a
+        cell left with none is dropped.  Without points every cell is split,
+        so every critical value between the two levels becomes a level.
+        """
+        critical, cells = self._critical, []
+        stack = [(first, last, 0, bisect_right(critical, first.b), bisect_left(critical, last.b), points)]
+        while stack:
+            low, high, depth, i, j, held = stack.pop()  # critical[i:j] lie strictly inside
+            if held is not None and not any(len(p) for p in held):
+                continue
+            k, wall = (i + j) // 2, i < j  # wall: split at a critical value
+            affine = not wall and low.same(high)  # ``_affine``, with critical[i:j] known
+            b = critical[k] if wall else 0.5 * (low.b + high.b)
+            if affine or high.b - low.b <= floor or not wall and (depth >= _MAX_BISECT or not low.b < b < high.b):
+                cells.append((low, high, affine, held))
+                continue
+            middle, depth = self._level(b, built), 0 if wall else depth + 1
+            below, above = (None, None) if held is None else split(middle, held)
+            stack += [(middle, high, depth, k + wall, j, above), (low, middle, depth, i, k, below)]
+        return cells
 
     # -- misc ---------------------------------------------------------------
 

@@ -55,6 +55,7 @@ class Domain:
     def contains(self, x: float) -> bool:
         return not self.is_segment or self.a1 <= x <= self.a2
 
+
 class PiecewiseLinear:
     """A continuous piecewise-linear function.
 
@@ -216,12 +217,8 @@ class PiecewiseLinear:
 
     # -- algebra ---------------------------------------------------------
 
-    def _merged_grid(self, other: "PiecewiseLinear") -> list[float]:
-        grid = sorted(set(self.xs) | set(other.xs))
-        return grid
-
     def _binary(self, other: "PiecewiseLinear", op) -> "PiecewiseLinear":
-        grid = self._merged_grid(other)
+        grid = sorted(set(self.xs) | set(other.xs))
         ys = [op(self._eval_scalar(x), other._eval_scalar(x)) for x in grid]
 
         def ext(sa, sb):
@@ -257,7 +254,7 @@ class PiecewiseLinear:
     def is_strictly_increasing(self) -> bool:
         if any(s <= 0 for s in self.segment_slopes()):
             return False
-        if self.left_slope is not None and self.left_slope <= 0 and self.n >= 1:
+        if self.left_slope is not None and self.left_slope <= 0:
             return False
         if self.right_slope is not None and self.right_slope <= 0:
             return False

@@ -165,7 +165,7 @@ def test_every_point_of_a_cell_matches_reference(source):
         b_lo, b_hi = field._value_range(lo - 5.0, hi + 5.0)
         levels = [profiles.level(float(b)) for b in np.linspace(b_lo, b_hi, 41)]
         every = np.arange(xs.size * ts.size)
-        pairs = [(low, high) for low, high in zip(levels, levels[1:]) if profiles.affine(low, high)]
+        pairs = [(low, high) for low, high in zip(levels, levels[1:]) if field._affine(low, high)]
         # a slice with no component has no table to read; no grid point's value lies there
         cells = [(low, high, side, every) for low, high in pairs for side in (0, 1) if len(low.table(side)[0])]
         for low, high, side, points in cells:

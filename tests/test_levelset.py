@@ -699,6 +699,14 @@ class TestInversion:
             assert value == bisection_reference(field, x, t, None, False)
         assert field.eval_w(0.0, 1.0) == bisection_reference(field, 0.0, 1.0, None, True)
 
+    def test_tiny_tolerance_is_plain_bisection(self):
+        # a final cell within rounding of the values is not steered to;
+        # steering to it gives 0.10982564260716016 here
+        field = SolutionField(get_fixture("seg-tent").build(), tolerance=1e-300)
+        x, t = 0.6098256426071602, 1.157494660045763
+        value = field.eval_v(x, t, (-0.5, 0.5))
+        assert value == bisection_reference(field, x, t, (-0.5, 0.5), False) == 0.10982564260716007
+
 
 def _fixtures_and_random_specs(n_random=6):
     rng = np.random.default_rng(2024)
@@ -769,6 +777,52 @@ def test_frozen_segments_carry_their_level():
                 t = first + (last - first) * rng.uniform(0.1, 0.9)
                 v, w = field.eval_pair(x, t)
                 assert max(abs(v - level.b), abs(w - level.b)) <= field.zone_epsilon(), (level.b, x, t, v, w)
+
+
+# levels of the sweep over the full span widened by the horizon, at 1e-10
+SWEEP_LEVELS = {
+    "downhill": 159,
+    "frozen-ramp": 4,
+    "parabolas": 3370,
+    "ramp": 449,
+    "seg-tent": 236,
+    "tent": 236,
+    "thawline": 3,
+    "uniform-gap": 116,
+    "wedge": 123,
+}
+
+
+def _full_span(name):
+    fixture = get_fixture(name)
+    spec = fixture.build()
+    lo, hi = spec.breakpoint_span()
+    return spec, lo, hi, fixture.horizon
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_LEVELS))
+def test_sweep_has_a_level_at_every_critical_value(name):
+    spec, lo, hi, horizon = _full_span(name)
+    field = SolutionField(spec, tolerance=1e-10)
+    levels, affine = field._sweep(lo - horizon, hi + horizon)
+    b = [level.b for level in levels]
+    b_lo, b_hi, _ = field._span_bracket(lo - horizon, hi + horizon)
+    assert (b[0], b[-1]) == (b_lo, b_hi) and b == sorted(set(b))
+    assert {c for c in field._critical if b_lo < c < b_hi} <= set(b)
+    assert len(affine) == len(b) - 1
+    assert len(b) == SWEEP_LEVELS[name]  # boundary output is not pinned, so this guards the sweep
+
+
+@pytest.mark.parametrize("name", ["parabolas", "ramp"])
+def test_grid_builds_no_more_levels_than_the_sweep(monkeypatch, name):
+    # one split serves both, and a grid splits only cells that hold values
+    spec, lo, hi, horizon = _full_span(name)
+    built = _count_levels(monkeypatch)
+    SolutionField(spec, tolerance=1e-10).eval_grid(np.linspace(lo, hi, 41), np.linspace(0.0, horizon, 21))
+    grid = len(built)
+    del built[:]
+    SolutionField(spec, tolerance=1e-10)._sweep(lo - horizon, hi + horizon)
+    assert grid <= len(built), (grid, len(built))
 
 
 def _traced(trace, f, x, t):
