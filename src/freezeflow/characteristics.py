@@ -156,6 +156,8 @@ def _trace(
     kind: CurveKind,
     forward: bool,
 ) -> Curve:
+    if forward and t_end < t:
+        raise ValueError(f"forward tracing requires t_end >= t, got t_end={t_end!r} < t={t!r}")
     check_step(dt, (t_end - t) if forward else (t - t_end))
     spec = field_.spec
     dom = spec.domain

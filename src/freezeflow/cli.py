@@ -117,6 +117,8 @@ def _json_text(obj) -> str:
 
 def _parse_grid(text: str, least: int):
     nx, nt = _parse_pair(text, 2, "grid")
+    if not (nx.is_integer() and nt.is_integer()):
+        raise CliError(f"--grid needs whole numbers of points, got {text!r}", EXIT_BAD_CONFIG)
     if min(nx, nt) < least:
         raise CliError(f"--grid needs at least {least} points per axis, got {text!r}", EXIT_BAD_CONFIG)
     if nx * nt > chars.MAX_SAMPLES:
@@ -216,6 +218,8 @@ def cmd_trace(args) -> int:
     if not (args.t > 0 if backward else args.t >= 0):
         need = "positive" if backward else "nonnegative"
         raise CliError(f"--t must be {need} for {args.direction} tracing, got {args.t!r}", EXIT_BAD_CONFIG)
+    if not backward and args.t_end is not None and args.t_end < args.t:
+        raise CliError(f"--t-end must not precede --t, got {args.t_end!r} < {args.t!r}", EXIT_BAD_CONFIG)
     spec = _load_problem(args)
     field = _make_field(spec, args.tol)
     tracer = {

@@ -1,8 +1,9 @@
 """Freezing and thawing curves of the frozen zone, their corners and slopes.
 
 At level b each piece of a level-set component is a vertical frozen segment
-(``levelset._stands``): where the v and w fronts of the level stand at one x,
-v = w = b from the later of their first times to the first thaw.  One sweep
+(``levelset._LevelPair.frozen``): where the v and w fronts of the level
+stand at one x, v = w = b from the later of their first times to the first
+thaw.  One sweep
 in b (``SolutionField._sweep``) leaves cells in which each segment's x and
 times are affine in b, so the freezing curves (the lower ends) and thawing
 curves (the upper ends) are exact polylines; a stack of segments at one x,

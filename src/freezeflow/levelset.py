@@ -182,14 +182,14 @@ class _LevelSlice:
 
     For each maximal interval [p, q] of the moving set, survival time as a
     function of the starting point x is t_max(x) = (alpha(x) - x) / 2, a
-    decreasing piecewise-linear function of x.  The pieces are computed once
-    by walking the integrand profile to the right of q, and every query
-    reads them through ``_front``.  The left-moving superlevel side reuses
-    this via reflection.  ``codes`` holds the branch codes of every
-    component in turn, each followed by -1.
+    decreasing piecewise-linear function of x.  Its pieces are stored once
+    per component (``_component_structure``) and read by ``_front``, by the
+    grid's ``table`` and by the frozen segments.  The left-moving superlevel
+    side reuses this via reflection.  ``codes`` holds the branch codes of
+    every component in turn, each followed by -1.
     """
 
-    __slots__ = ("components", "comp_los", "codes")
+    __slots__ = ("components", "comp_los", "codes", "_table")
 
     def __init__(self, blue, nodes, kvals):
         self.components = []
@@ -198,6 +198,13 @@ class _LevelSlice:
             self.components.append(_component_structure(nodes, kvals, p, q, self.codes))
             self.codes.append(-1)
         self.comp_los = [c[0] for c in self.components]
+        self._table = None
+
+    def table(self):
+        """``_front_table`` of this slice, built on first use."""
+        if self._table is None:
+            self._table = _front_table(self)
+        return self._table
 
     def membership(self, x0: float, t: float) -> bool:
         """Is the point starting at x0 still alive (untransported label) at t?
@@ -242,16 +249,20 @@ class _LevelSlice:
 
 
 def _component_structure(nodes, kvals, p, q, codes):
-    """Alpha pieces for one component [p, q] of the moving set.
+    """(p, q, pieces, end) for one component [p, q] of the moving set.
 
-    Levels are parameterized by c = x - q in [c_floor, 0]; piece
-    (c_hi, c_lo, y_base) encodes alpha(c) = y_base + (c_hi - c) for
-    c in (c_lo, c_hi].  Levels c <= c_end are never annihilated.  The list
-    ``codes`` receives the outcome of the three comparisons made in each
-    descending region, which fix how the results are formed from the nodes.
+    With labels c = x - q, walking the integrand right of q gives
+    alpha(c) = y_base + (c_hi - c) on each piece c in (c_lo, c_hi], stored
+    as its readers use it, (first, wait, last, stand): the front waits at
+    label ``wait`` until t = ``first``, then retreats to ``stand`` - t until
+    t = ``last``, so moved by t it stands at x = ``stand``.  ``end`` is the
+    label q + c_end, at or below which none is annihilated, or None where the
+    component dies.  The list ``codes`` receives the outcome of the three
+    comparisons made in each descending region, which fix how the results
+    are formed from the nodes.
     """
     if q == INF:
-        return (p, q, (), -INF)
+        return (p, q, (), q)
     c_floor = p - q  # -inf for a lower-tail component
     pieces = []
     mcur = 0.0
@@ -263,14 +274,15 @@ def _component_structure(nodes, kvals, p, q, codes):
         k = kvals[idx]
         length = seg_end - pos
         if k < 0:
-            lo_level = gs - length  # -inf on an infinite descent
-            hi_level = mcur if mcur < gs else gs
-            codes.append((mcur < gs) + 2 * (hi_level > lo_level) + 4 * (lo_level < mcur))
-            if hi_level > lo_level:
-                y_base = pos + (gs - hi_level)
-                pieces.append((hi_level, lo_level, y_base))
-            if lo_level < mcur:
-                mcur = lo_level
+            c_lo = gs - length  # -inf on an infinite descent
+            c_hi = mcur if mcur < gs else gs
+            codes.append((mcur < gs) + 2 * (c_hi > c_lo) + 4 * (c_lo < mcur))
+            if c_hi > c_lo:
+                y_base = pos + (gs - c_hi)
+                s = y_base + c_hi - q
+                pieces.append(((y_base - q - c_hi) * 0.5, q + c_hi, (s - 2.0 * c_lo) * 0.5, q + s * 0.5))
+            if c_lo < mcur:
+                mcur = c_lo
             if mcur < c_floor or length == INF:
                 break
             gs -= length
@@ -283,52 +295,26 @@ def _component_structure(nodes, kvals, p, q, codes):
                 break
         pos = seg_end
         idx += 1
-    return (p, q, tuple(pieces), mcur)
+    return (p, q, tuple(pieces), None if mcur == -INF else q + mcur)
 
 
 def _front(comp, t):
-    """Largest label of one component that survives at t, or None.
-
-    t_max falls by one per unit of label inside a piece and jumps up between
-    pieces, so the front holds at q while the component is liquid, retreats
-    with t inside a piece, waits at the jumps, and stops at q + c_end.
-    """
-    p, q, pieces, c_end = comp
-    if q == INF or t <= 0.0:
+    """Largest label of one component that survives at t, or None: q at
+    t <= 0, then per piece ``wait`` while t <= ``first`` and ``stand`` - t
+    while t <= ``last``, and past every piece the component's end."""
+    p, q, pieces, end = comp
+    if t <= 0.0:
         return q
-    for c_hi, c_lo, y_base in pieces:
-        if t <= (y_base - q - c_hi) * 0.5:  # t_max at c = c_hi
-            front = q + c_hi
+    for first, wait, last, stand in pieces:
+        if t <= first:
+            front = wait
             break
-        s = y_base + c_hi - q  # t_max(c) = s / 2 - c inside the piece
-        if t <= (s - 2.0 * c_lo) * 0.5:  # t_max as c -> c_lo
-            front = q + s * 0.5 - t
+        if t <= last:
+            front = stand - t
             break
     else:
-        if c_end == -INF:
-            return None
-        front = q + c_end
-    return front if front >= p else None
-
-
-def _stands(comp):
-    """Where and when the front of one component stands still, per piece.
-
-    Inside a piece the front label q + s/2 - t retreats as fast as the
-    labels move, so the transported front stands at x = (q + y_base + c_hi)/2
-    from the piece's first time (y_base - q - c_hi)/2, where ``_front``
-    enters it, to its last, (s - 2 c_lo)/2, or until the front reaches p at
-    q + s/2 - p, whichever comes first.  Returns (x, first, last, death) per
-    piece, infinite where the descent or the component is.
-    """
-    p, q, pieces, _ = comp
-    if q == INF:
-        return []
-    out = []
-    for c_hi, c_lo, y_base in pieces:
-        s = y_base + c_hi - q
-        out.append(((q + y_base + c_hi) * 0.5, (y_base - q - c_hi) * 0.5, s * 0.5 - c_lo, q + s * 0.5 - p))
-    return out
+        front = end
+    return front if front is not None and front >= p else None
 
 
 def band_path(outer: "_LevelSlice", inner: "_LevelSlice", x0: float, t: float):
@@ -399,13 +385,13 @@ class _LevelPair:
     values at the two.
     """
 
-    __slots__ = ("b", "blue", "red", "nodes", "kvals", "_v", "_w", "_tables", "_pattern", "_frozen")
+    __slots__ = ("b", "blue", "red", "nodes", "kvals", "_v", "_w", "_pattern", "_frozen")
 
     def __init__(self, spec: ProblemSpec, b: float):
         self.b = b
         self.blue, self.red = extended_level_sets(spec, b)
         self.nodes, self.kvals = _k_regions(self.blue, self.red)
-        self._v = self._w = self._tables = self._pattern = self._frozen = None
+        self._v = self._w = self._pattern = self._frozen = None
 
     def slice(self, side: int) -> _LevelSlice:
         """The v (0) or the reflected w (1) slice."""
@@ -433,38 +419,31 @@ class _LevelPair:
         unless a critical value lies in between."""
         return self.pattern() == other.pattern() and all(self.slice(s).codes == other.slice(s).codes for s in (0, 1))
 
-    def table(self, side: int):
-        """``_front_table`` of one slice."""
-        if self._tables is None:
-            self._tables = [None, None]
-        if self._tables[side] is None:
-            self._tables[side] = _front_table(self.slice(side))
-        return self._tables[side]
-
     def frozen(self) -> list:
         """The frozen segments of this level, in the v slice's order.
 
-        Where a v piece and a w piece stand at the same x (``_stands``),
-        v = w = b from the later of their first times to the earliest of
-        their last times and deaths.  Returns (x, firsts, ends, key) per
-        such pair, with firsts = (v first, w first), ends = (v last, v death,
-        w last, w death) and key the (component, piece) indices of the v
-        piece and then the w piece; a pair whose times do not overlap is
-        kept, with a negative length.
+        A piece's front stands at x = ``stand`` from its ``first`` time to its
+        ``last``, or to its death ``stand`` - p.  Where a v piece and a w
+        piece stand at the same x, v = w = b from the later of their first
+        times to the earliest of their last times and deaths.  Returns
+        (x, firsts, ends, key) per such pair, with firsts = (v first, w first),
+        ends = (v last, v death, w last, w death) and key the (component,
+        piece) indices of the v piece and then the w piece; a pair whose
+        times do not overlap is kept, with a negative length.
         """
         if self._frozen is None:
             w = sorted(
-                (-x, first, ends, (k, i))
-                for k, comp in enumerate(self.slice(1).components)
-                for i, (x, first, *ends) in enumerate(_stands(comp))
+                (-x, first, (last, x - p), (k, i))
+                for k, (p, _, pieces, _) in enumerate(self.slice(1).components)
+                for i, (first, _, last, x) in enumerate(pieces)
             )
             w_xs = [s[0] for s in w]
             self._frozen = []
-            for k, comp in enumerate(self.slice(0).components):
-                for i, (x, first, *ends) in enumerate(_stands(comp)):
+            for k, (p, _, pieces, _) in enumerate(self.slice(0).components):
+                for i, (first, _, last, x) in enumerate(pieces):
                     tiny = _MATCH * (1.0 + abs(x))
                     for j in range(bisect_left(w_xs, x - tiny), bisect_right(w_xs, x + tiny)):
-                        self._frozen.append((x, (first, w[j][1]), (*ends, *w[j][2]), (k, i) + w[j][3]))
+                        self._frozen.append((x, (first, w[j][1]), (last, x - p, *w[j][2]), (k, i) + w[j][3]))
         return self._frozen
 
 
@@ -517,9 +496,9 @@ def _front_table(sl: _LevelSlice):
     """``_front`` of every component of a slice as arrays over its branches.
 
     Returns (p, T, F, R): the left ends p, and per component the thresholds
-    T of the branches in ``_front``'s order (t <= 0 first, then two per
-    piece) and the front F - R t of each branch, the last column being the
-    branch taken when t exceeds every threshold.  Unused thresholds are
+    T (0, then ``first`` and ``last`` per piece) and the fronts F - R t
+    (q, then ``wait`` and ``stand`` - t per piece, then the end, -inf for
+    none) of the branches in ``_front``'s order.  Unused thresholds are
     -inf, so a component with fewer pieces never takes them.
     """
     comps = sl.components
@@ -527,18 +506,12 @@ def _front_table(sl: _LevelSlice):
     T = np.full((len(comps), m), -INF)
     F = np.empty((len(comps), m + 1))
     R = np.zeros((len(comps), m + 1))
-    for k, (p, q, pieces, c_end) in enumerate(comps):
-        if q == INF:
-            F[k] = INF
-            continue
+    for k, (p, q, pieces, end) in enumerate(comps):
         T[k, 0], F[k, 0] = 0.0, q
-        i = 1
-        for c_hi, c_lo, y_base in pieces:
-            s = y_base + c_hi - q
-            T[k, i], F[k, i] = (y_base - q - c_hi) * 0.5, q + c_hi
-            T[k, i + 1], F[k, i + 1], R[k, i + 1] = (s - 2.0 * c_lo) * 0.5, q + s * 0.5, 1.0
-            i += 2
-        F[k, i:] = -INF if c_end == -INF else q + c_end
+        for i, piece in enumerate(pieces, 1):
+            T[k, 2 * i - 1], F[k, 2 * i - 1], T[k, 2 * i], F[k, 2 * i] = piece
+            R[k, 2 * i] = 1.0
+        F[k, 1 + 2 * len(pieces):] = -INF if end is None else end
     return np.array(sl.comp_los), T, F, R
 
 
@@ -666,7 +639,7 @@ class _RowProfiles:
         if len(idx) <= _FEW:
             sl = lv.slice(side)
             return np.array([sl.membership(a, t) for a, t in zip(x0.tolist(), self.t[idx].tolist())], dtype=bool)
-        P, T, F, R = lv.table(side)
+        P, T, F, R = lv.slice(side).table()
         if not len(P):
             return np.zeros(len(idx), dtype=bool)
         branch = np.full((len(P), len(self.ts)), T.shape[1])
@@ -729,8 +702,8 @@ class _RowProfiles:
                 E[s][idx[mask]] = err[mask]
 
         for low, high, side, points in cells:
-            P1, T1, F1, R = low.table(side)
-            P2, T2, F2, _ = high.table(side)
+            P1, T1, F1, R = low.slice(side).table()
+            P2, T2, F2, _ = high.slice(side).table()
             groups, rows = batches.setdefault(T1.shape[1], ([], []))
             for start in range(0, len(points), _CHUNK):
                 idx = points[start:start + _CHUNK]

@@ -133,6 +133,13 @@ class TestForward:
         xe, te = c.samples[-1]
         assert abs(xe - (-1.0)) < 5e-3 and abs(te - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("tracer", [trace_forward_v, trace_forward_w])
+    def test_end_before_start_is_rejected(self, wedge_field, tracer):
+        # used to return one sample that had "reached horizon"
+        with pytest.raises(ValueError, match="t_end >= t"):
+            tracer(wedge_field, 1.0, 1.0, t_end=0.5)
+        assert len(tracer(wedge_field, 1.0, 1.0, t_end=1.0).samples) == 1
+
 
 class TestRunsBound:
     def test_at_most_three_runs_on_fixtures(self, wedge_field, frozen_ramp_field):

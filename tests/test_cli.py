@@ -95,10 +95,10 @@ def test_oracle_comparison(tmp_path):
 
 
 # SHA-256 of output that README promises is byte-stable: solve on every
-# fixture and on the benchmark's two solve grids, one solve as JSON, and
-# README's trace and oracle examples.  check and boundary are
-# left out, as their numpy reductions and LAPACK fits may round differently
-# on another build.
+# fixture and on the benchmark's two solve grids, one solve as JSON,
+# README's trace and oracle examples, and boundary on two fixtures.  check
+# is left out, as its numpy reductions may round differently on another
+# build.
 STABLE_OUTPUTS = [
     ("solve --fixture wedge --grid 41,21", "13c7fa94092be542ad0bb47d1b2b5e43f64dd343a5c3f16e2485819bbb427756"),
     ("solve --fixture parabolas --grid 41,21", "c5e87b32824d8cb0385a572e1f15cd5d1d7e9813464cb372b947aa49c5b2e890"),
@@ -114,6 +114,8 @@ STABLE_OUTPUTS = [
     ("solve --fixture wedge --grid 201,101 --window=-5,5,0,2", "0d3f4fede8c131c8a86f275331cec1b966fa752a36053cef89bf8949d44cfc53"),
     ("solve --fixture parabolas --grid 40,40 --window=0.8,2.0,0.4,2.0 --tol 1e-7", "9e14963a4005b252f30b5a166a8d59760f002b34f5e87922a2dcfed0d1bcf8ca"),
     ("solve --fixture seg-tent --grid 21,11 --format json", "e7ddbff9f29122dce975308ace6b95306bbc7e8a5ce29fa7a0f812ae99c2d175"),
+    ("boundary --fixture parabolas --grid 130,150 --window=0.8,3.2,0,3.45", "ce991234e9e1d700d1611064e4e7e301ad02de18f6b7c0ac597b39c0ab0f798d"),
+    ("boundary --fixture ramp --grid 130,120 --window=-2.8,0.4,0,2.9", "445f79c45ffab289090a9494b0ec16412476d472f54dd8c9a49118229ecb935d"),
 ]
 
 
@@ -431,8 +433,13 @@ TRACE_V = ["trace", "--fixture", "wedge", "--kind", "v", "--x", "1"]
         ["oracle", "--fixture", "tent", "--levels", "-1"],
         TRACE_V + ["--direction", "backward", "--t", "0"],
         TRACE_V + ["--direction", "forward", "--t", "nan"],
+        # a forward trace ending before it starts used to report the horizon reached
+        TRACE_V + ["--direction", "forward", "--t", "1", "--t-end", "0.5"],
         ["boundary", "--fixture", "wedge", "--grid", "1,40", "--window=0,1,0,1"],
         ["solve", "--fixture", "wedge", "--grid", "0,5"],
+        # counts that are not whole numbers used to be truncated
+        ["solve", "--fixture", "wedge", "--grid", "2.5,3"],
+        ["boundary", "--fixture", "wedge", "--grid", "2.9,2.9", "--window=0,1,0,1"],
         # grids past 10^6 points used to die with a numpy memory error
         ["solve", "--fixture", "wedge", "--grid", "100000,100000", "--window=0,1,0,1"],
         ["boundary", "--fixture", "wedge", "--grid", "100000,100000", "--window=0,1,0,1"],

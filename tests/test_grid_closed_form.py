@@ -71,8 +71,8 @@ def reference_closed_form(profiles, cells, C, E):
             E[s][idx[mask]] = err[mask]
 
     for low, high, side, points in cells:
-        P1, T1, F1, R = low.table(side)
-        P2, T2, F2, _ = high.table(side)
+        P1, T1, F1, R = low.slice(side).table()
+        P2, T2, F2, _ = high.slice(side).table()
         batch = batches.setdefault(T1.shape[1], [[], 0])
         for start in range(0, len(points), _CHUNK):
             idx = points[start:start + _CHUNK]
@@ -167,9 +167,9 @@ def test_every_point_of_a_cell_matches_reference(source):
         every = np.arange(xs.size * ts.size)
         pairs = [(low, high) for low, high in zip(levels, levels[1:]) if field._affine(low, high)]
         # a slice with no component has no table to read; no grid point's value lies there
-        cells = [(low, high, side, every) for low, high in pairs for side in (0, 1) if len(low.table(side)[0])]
+        cells = [(low, high, side, every) for low, high in pairs for side in (0, 1) if len(low.slice(side).table()[0])]
         for low, high, side, points in cells:
-            P = (high if side == 0 else low).table(side)[0]
+            P = (high if side == 0 else low).slice(side).table()[0]
             left_of_all += int((profiles.x0[side][points] < (P[0] if len(P) else INF)).sum())
         expected = ([np.zeros(every.size), np.zeros(every.size)], [np.zeros(every.size), np.zeros(every.size)])
         reference_closed_form(profiles, cells, *expected)

@@ -22,7 +22,7 @@ from freezeflow import (
 )
 from freezeflow.fixtures import FIXTURES, wedge_v_exact, wedge_w_exact
 from freezeflow import levelset
-from freezeflow.levelset import _front, _front_table, _LevelPair, _stands, extended_level_sets
+from freezeflow.levelset import _front, _front_table, _LevelPair, extended_level_sets
 from test_set_assembly import edge_spec, signed
 
 PL = PiecewiseLinear
@@ -87,7 +87,7 @@ class TestAlpha:
             for b in rng.uniform(v_lo - 0.5, v_hi + 0.5, size=3):
                 pair = _LevelPair(spec, float(b))
                 sl = pair.slice(0)
-                for (p, q, pieces, c_end) in sl.components:
+                for (p, q, pieces, end) in sl.components:
                     if not (math.isfinite(p) and math.isfinite(q)) or q <= p:
                         continue
                     for frac in (0.15, 0.5, 0.95):
@@ -714,7 +714,9 @@ def _fixtures_and_random_specs(n_random=6):
 
 
 def test_front_table_matches_front():
-    # _front_table encodes _front's branch order a second time, as arrays
+    # _front and _front_table read the same stored pieces, _front per t and
+    # the table as arrays over its branches, and the frozen segments read
+    # the table's numbers of their v piece
     for spec in _fixtures_and_random_specs():
         ys = spec.v0.ys + spec.w0.ys
         for b in np.linspace(min(ys), max(ys), 20):
@@ -728,14 +730,18 @@ def test_front_table_matches_front():
                         front = F[k, branch] - R[k, branch] * t
                         expected = _front(comp, t)
                         assert (front if front >= P[k] else -INF) == (-INF if expected is None else expected)
+            P, T, F, R = _front_table(pair.slice(0))
+            for x, firsts, ends, (k, i, *_) in pair.frozen():
+                stand = F[k, 2 * i + 2]
+                assert (x, firsts[0], ends[0], ends[1]) == (stand, T[k, 2 * i + 1], T[k, 2 * i + 2], stand - P[k])
 
 
 def _pieces(level, side):
     """(x, first time, end) of every piece of one slice, in the problem's x."""
     return [
-        (-x if side else x, first, min(last, death))
-        for comp in level.slice(side).components
-        for x, first, last, death in _stands(comp)
+        (-x if side else x, first, min(last, x - p))
+        for p, _, stored, _ in level.slice(side).components
+        for first, _, last, x in stored
     ]
 
 
