@@ -13,8 +13,6 @@ Exit codes: 0 success, 1 failed checks, 2 invalid problem or configuration,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -93,19 +91,17 @@ def _write(out: Optional[str], payload: str):
         sys.stdout.write(payload)
 
 
-def _csv_text(header: Sequence[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return v
+def _csv_text(header: Sequence[str], columns) -> str:
+    """CSV of a header row and equal-length columns.  A column of strings
+    passes through; in a numpy float column each distinct value is
+    formatted once with %.12g, keyed by its bits so that -0.0 stays "-0"."""
+    text = []
+    for col in columns:
+        if isinstance(col, np.ndarray):
+            bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            col = np.array(["%.12g" % v for v in bits.view(np.float64).tolist()], dtype=object)[inverse].tolist()
+        text.append(col)
+    return ",".join(header) + "\n" + "".join([",".join(row) + "\n" for row in zip(*text)])
 
 
 def _json_text(obj) -> str:
@@ -148,20 +144,15 @@ def cmd_solve(args) -> int:
     zones = np.where(liquid, "liquid", np.where(thaws, "boundary", "frozen"))
     values = [a.ravel() for a in (V, W, V + W, V - W)]
     zone_col = zones.ravel().tolist()
+    keys = ("x", "t", "v", "w", "mu", "sigma", "zone")
     if args.format == "json":
         X, T = np.meshgrid(xs, ts)
-        keys = ("x", "t", "v", "w", "mu", "sigma", "zone")
         columns = [X.ravel().tolist(), T.ravel().tolist()] + [a.tolist() for a in values] + [zone_col]
         payload = _json_text([dict(zip(keys, r)) for r in zip(*columns)])
     else:
-        # each x, each t and each distinct value (by its bits, so -0.0 stays
-        # "-0") is formatted once, not once per row
-        columns = [["%.12g" % x for x in xs.tolist()] * nt, [s for t in ts.tolist() for s in ["%.12g" % t] * nx]]
-        for a in values:
-            bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
-            text = np.array(["%.12g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-            columns.append(text[inverse].tolist())
-        payload = "x,t,v,w,mu,sigma,zone\n" + "".join([",".join(r) + "\n" for r in zip(*columns, zone_col)])
+        # each x and each t is formatted once, not once per row
+        x_col, t_col = ["%.12g" % x for x in xs.tolist()] * nt, [s for t in ts.tolist() for s in ["%.12g" % t] * nx]
+        payload = _csv_text(keys, [x_col, t_col] + values + [zone_col])
     _write(args.out, payload)
     return 0
 
@@ -187,11 +178,8 @@ def cmd_boundary(args) -> int:
         "thawing": [{"samples": [list(p) for p in c.samples]} for c in bset.thawing],
         "corners": [],
     }
-    for i, c in enumerate(bset.corners):
-        try:
-            sl = geom.corner_slopes(bset, i)
-        except ValueError:  # an incident curve too short to measure a slope
-            sl = geom.CornerSlopes(None, None)
+    for c in bset.corners:
+        sl = c.slopes
         obj["corners"].append(
             {
                 "x": c.x,
@@ -241,12 +229,9 @@ def cmd_trace(args) -> int:
         raise CliError(f"--dt: {exc}", EXIT_BAD_CONFIG)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_DOMAIN)
-    rows = [
-        (t, x, val, zone.value)
-        for (x, t), val, zone in zip(curve.samples, curve.values, curve.zones)
-    ]
-    payload = _csv_text(["t", "x", "value", "zone"], rows)
-    _write(args.out, payload)
+    x, t = np.array(curve.samples, dtype=float).reshape(-1, 2).T
+    columns = [t, x, np.array(curve.values, dtype=float), [zone.value for zone in curve.zones]]
+    _write(args.out, _csv_text(["t", "x", "value", "zone"], columns))
     if curve.termination:
         sys.stderr.write(f"termination: {curve.termination}\n")
     return 0
@@ -318,11 +303,9 @@ def cmd_pinned(args) -> int:
     rng = np.random.default_rng(args.seed)
     state = balls.BallState(tuple(rng.standard_normal(args.n)), rng_seed=args.seed)
     final, snaps = balls.run(state, args.steps, np.random.default_rng(args.seed + 1), args.stride)
-    rows = []
-    for t, vel in snaps:
-        for i, v in enumerate(vel, start=1):
-            rows.append((t, i, v))
-    _write(args.out, _csv_text(["t", "site", "velocity"], rows))
+    sites = [str(i) for i in range(1, args.n + 1)]
+    columns = [[str(t) for t, _ in snaps for _ in sites], sites * len(snaps), np.ravel([vel for _, vel in snaps])]
+    _write(args.out, _csv_text(["t", "site", "velocity"], columns))
     return 0
 
 

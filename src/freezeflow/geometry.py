@@ -245,9 +245,11 @@ def _corners(ends, thawing) -> List[Corner]:
         return end[2][:8] if end[3] else end[2][::-1][:8]
 
     lower, upper = [e for e in ends if not e[1]], [e for e in ends if e[1]]
-    pairs = sorted((f[4] != t[4], math.dist(f[0], t[0]), n, m) for n, f in enumerate(lower) for m, t in enumerate(upper))
+    # in the sweep's end order: at a true corner the distance is rounding, so
+    # it only chooses among one lower end's candidates
+    pairs = sorted((f[4] != t[4], n, math.dist(f[0], t[0]), m) for n, f in enumerate(lower) for m, t in enumerate(upper))
     used: set = set()
-    for other, _, n, m in pairs:
+    for other, n, _, m in pairs:
         if ("f", n) not in used and ("t", m) not in used and _near(lower[n][0], upper[m][0]):
             used |= {("f", n), ("t", m)}
             add(CornerKind.THAW_FREEZE if other else CornerKind.FREEZE_THAW, lower[n][0], branch(lower[n]), branch(upper[m]))

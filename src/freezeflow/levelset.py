@@ -228,24 +228,34 @@ class _LevelSlice:
         set grows with b, so the residual is non-decreasing in b, and on
         piecewise-linear data it is piecewise affine in b.  Only the
         component holding x0 and the nearest components with survivors on
-        either side are read.
+        either side are read (``neighbours``).
         """
-        comps = self.components
         i = bisect_right(self.comp_los, x0) - 1
-        left = -INF  # last surviving label at or left of x0
-        for j in range(i, -1, -1):
-            front = _front(comps[j], t)
-            if front is not None:
-                if j == i and x0 <= front:
-                    return min(x0 - comps[i][0], front - x0)
-                left = front
-                break
-        right = INF  # first surviving label right of x0
-        for j in range(i + 1, len(comps)):
-            if _front(comps[j], t) is not None:
-                right = comps[j][0]
-                break
+        left, right = self.neighbours(t, i)
+        if x0 <= left:  # only the front of x0's own component reaches x0
+            return min(x0 - self.comp_los[i], left - x0)
         return -min(x0 - left, right - x0)
+
+    def neighbours(self, t: float, i: int, lo: float = -INF, hi: float = INF) -> Tuple[float, float]:
+        """The front of the last component up to index i that survives at t
+        and the left end of the first surviving component after i, both
+        clamped to [lo, hi].  A component wholly outside [lo, hi] cannot
+        move either, so the scans stop there."""
+        comps = self.components
+        for k in range(i, -1, -1):
+            if comps[k][1] <= lo:
+                break
+            front = _front(comps[k], t)
+            if front is not None:
+                lo = max(lo, front)
+                break
+        for k in range(i + 1, len(comps)):
+            if comps[k][0] >= hi:
+                break
+            if _front(comps[k], t) is not None:
+                hi = comps[k][0]
+                break
+        return lo, hi
 
 
 def _component_structure(nodes, kvals, p, q, codes):
@@ -339,28 +349,13 @@ def band_path(outer: "_LevelSlice", inner: "_LevelSlice", x0: float, t: float):
     i = bisect_right(outer.comp_los, x0) - 1
     comp = outer.components[i] if outer.membership(x0, t) else None  # None: only inner bounds x0
     p = comp[0] if comp is not None else -INF
-    comps = inner.components
     j = bisect_right(inner.comp_los, x0) - 1
 
     def r(s):
-        lo, hi = p, INF
-        if comp is not None:
-            hi = _front(comp, s)
-            if hi is None:
-                return None
-        for k in range(j, -1, -1):
-            if comps[k][1] <= lo:
-                break
-            front = _front(comps[k], s)
-            if front is not None:
-                lo = max(lo, front)
-                break
-        for k in range(j + 1, len(comps)):
-            if comps[k][0] >= hi:
-                break
-            if _front(comps[k], s) is not None:
-                hi = comps[k][0]
-                break
+        hi = _front(comp, s) if comp is not None else INF
+        if hi is None:
+            return None
+        lo, hi = inner.neighbours(s, j, p, hi)
         return min(max(x0, lo), hi) + s
 
     return r
@@ -600,16 +595,20 @@ class _RowProfiles:
 
     The v side of point (x, t) reads the sublevel slices at label x - t and
     the w side the reflected slices at -(x + t), both at the nudged x.  The
-    shared padded bracket is split by ``SolutionField._split`` with the
-    grid's points and its final cell width as the floor, and neighbouring
-    affine cells are merged.  A point whose membership changes inside an
-    affine cell gets its exact value c in closed form: every component end
-    is affine in b there, and the branch ``_front`` takes at the point's t
-    changes only where one of its thresholds, affine in b, crosses t.  Those
-    crossings depend on the cell, the component and the row alone, so they
-    are solved once per such group and only the label's part per point.  A
-    point whose membership changes inside any other cell gets the cell's
-    midpoint, known to within half the cell.  Each c then becomes
+    shared bracket is padded past the data's values over every point's
+    triangle of determinacy, so its ends need no probe (the rule of
+    ``SolutionField._cell``): a v point is never a member at the low end and
+    always one at the high end, a w point the other way round.  The bracket
+    is split by ``SolutionField._split`` with every point and the final cell
+    width as the floor, and neighbouring affine cells are merged.  A point
+    whose membership changes inside an affine cell gets its exact value c in
+    closed form: every component end is affine in b there, and the branch
+    ``_front`` takes at the point's t changes only where one of its
+    thresholds, affine in b, crosses t.  Those crossings depend on the cell,
+    the component and the row alone, so they are solved once per such group
+    and only the label's part per point.  A point whose membership changes
+    inside any other cell gets the cell's midpoint, known to within half the
+    cell.  Each c then becomes
     bisection's answer by walking bisection's path with ``mid < c``
     deciding each step; a midpoint within ``_SNAP`` final cells of c, or
     within the bound on its error, is decided by a real membership probe,
@@ -659,14 +658,9 @@ class _RowProfiles:
     def values(self, lo: float, hi: float, tol: float):
         every = np.arange(self.t.size)
         first, last = self.level(lo), self.level(hi)
-        at_lo = [self.members(first, side, every) for side in (0, 1)]
-        at_hi = [self.members(last, side, every) for side in (0, 1)]
-        # a point whose membership never changes gets one end of the bracket
-        C = [np.where(at_lo[0], -INF, INF), np.where(at_hi[1], INF, -INF)]
-        E = [np.zeros(self.t.size), np.zeros(self.t.size)]
-        inside = (np.flatnonzero(at_hi[0] & ~at_lo[0]), np.flatnonzero(at_lo[1] & ~at_hi[1]))
+        C, E = np.empty((2, 2, self.t.size))  # per side; every value lies in the bracket, so in one cell
         cells: list = []
-        for low, high, affine, points in self.field._split(first, last, self.built, tol, inside, self.split):
+        for low, high, affine, points in self.field._split(first, last, self.built, tol, (every, every), self.split):
             if affine and cells and cells[-1][2] and self.field._affine(cells[-1][0], high):
                 prev = cells.pop()
                 low, points = prev[0], tuple(np.concatenate(pair) for pair in zip(prev[3], points))
@@ -866,8 +860,11 @@ class SolutionField:
         same step cap; only the way each midpoint's side is learnt differs.
         Membership is monotone in b, so the probes so far certify a band
         (a, z): every level <= a lies below the answer and every level >= z
-        above it (the bracket ends count as certified, as in plain
-        bisection).  A midpoint outside the band is decided without a probe.
+        above it.  The bracket's ends need no probe: padded past the data's
+        values over the point's triangle of determinacy, it has a v point
+        never a member at its low end and always one at its high end, and a
+        w point the other way round (``_RowProfiles`` uses the same rule).
+        A midpoint outside the band is decided without a probe.
         Inside it, an estimate of the answer picks the final cell [l, h] it
         falls in, and probing l and h certifies the whole path down to that
         cell.  The first estimate is ``guess``, by default the transport

@@ -17,6 +17,7 @@ from freezeflow import (
     trace_forward_v,
     trace_forward_w,
 )
+from freezeflow import characteristics, cli
 from freezeflow.diagnostics import random_pl_spec
 from freezeflow.fixtures import FIXTURES
 from freezeflow.levelset import _LevelPair
@@ -99,6 +100,27 @@ class TestBackward:
     def test_requires_positive_time(self, wedge_field):
         with pytest.raises(ValueError):
             trace_backward_v(wedge_field, 0.0, 0.0)
+        for t in (0.0, -0.5):
+            with pytest.raises(ValueError, match="backward tracing requires t > 0"):
+                trace_backward_w(wedge_field, 0.0, t)
+
+    def test_a_path_off_its_band_fails_the_step(self, monkeypatch, capsys):
+        # a path that drifts 3 labels per unit time off the band between the
+        # start's two slices no longer preserves the value
+        real = characteristics.band_path
+
+        def drifting(outer, inner, x0, t):
+            r = real(outer, inner, x0, t)
+            return lambda s: None if r(s) is None else r(s) + 3.0 * (t - s)
+
+        monkeypatch.setattr(characteristics, "band_path", drifting)
+        with pytest.raises(CharacteristicStepError) as info:
+            trace_backward_v(SolutionField(get_fixture("wedge").build()), 4.0, 1.0)
+        message = "characteristic step failure at (x=4, t=1): the path below does not preserve the value"
+        assert (str(info.value), info.value.x, info.value.t) == (message, 4.0, 1.0)
+        argv = ["trace", "--fixture", "wedge", "--kind", "v", "--direction", "backward", "--x", "4", "--t", "1"]
+        assert cli.main(argv) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestForward:

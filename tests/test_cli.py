@@ -96,9 +96,9 @@ def test_oracle_comparison(tmp_path):
 
 # SHA-256 of output that README promises is byte-stable: solve on every
 # fixture and on the benchmark's two solve grids, one solve as JSON,
-# README's trace and oracle examples, and boundary on two fixtures.  check
-# is left out, as its numpy reductions may round differently on another
-# build.
+# README's trace and oracle examples, boundary on two fixtures, a forward
+# trace on a segment and pinned-balls.  check is left out, as its numpy
+# reductions may round differently on another build.
 STABLE_OUTPUTS = [
     ("solve --fixture wedge --grid 41,21", "13c7fa94092be542ad0bb47d1b2b5e43f64dd343a5c3f16e2485819bbb427756"),
     ("solve --fixture parabolas --grid 41,21", "c5e87b32824d8cb0385a572e1f15cd5d1d7e9813464cb372b947aa49c5b2e890"),
@@ -116,6 +116,8 @@ STABLE_OUTPUTS = [
     ("solve --fixture seg-tent --grid 21,11 --format json", "e7ddbff9f29122dce975308ace6b95306bbc7e8a5ce29fa7a0f812ae99c2d175"),
     ("boundary --fixture parabolas --grid 130,150 --window=0.8,3.2,0,3.45", "ce991234e9e1d700d1611064e4e7e301ad02de18f6b7c0ac597b39c0ab0f798d"),
     ("boundary --fixture ramp --grid 130,120 --window=-2.8,0.4,0,2.9", "445f79c45ffab289090a9494b0ec16412476d472f54dd8c9a49118229ecb935d"),
+    ("pinned-balls --n 50 --steps 10000 --seed 3", "97b1e2b6630b8fcbce5ff6b78be620ddaec8fdfb294e6855083ecf8e39ac8b50"),
+    ("trace --fixture seg-tent --kind w --direction forward --x 0.3 --t 0.2", "019adbcdf2aac1f6d8d875ea7151a5e6130b3ed71000404abe45cca1ea5e4cff"),
 ]
 
 

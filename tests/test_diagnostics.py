@@ -114,6 +114,10 @@ class TestEventualFreeze:
         rep = check_eventual_freeze(frozen_ramp_field)
         assert rep.passed
 
+    def test_whole_line_rejected(self, wedge_field):
+        with pytest.raises(ValueError, match="segment domains"):
+            check_eventual_freeze(wedge_field)
+
     def test_downhill_mirror_identity(self):
         # decreasing mu0 with sigma0 = 0 on [-a, a]: mu(x, t) = mu(-x, 0)
         # for t >= 4a
@@ -157,6 +161,17 @@ class TestMonotoneDependence:
         )
         with pytest.raises(ValueError):
             check_monotone_dependence(wedge_spec, down, sample_points=10)
+
+    @pytest.mark.parametrize(
+        "slopes, side", [((2.0, 1.0), "left"), ((1.0, 0.5), "right")], ids=["left", "right"]
+    )
+    def test_tail_ordering_enforced(self, slopes, side):
+        # the data are ordered at every breakpoint, but not on one tail
+        w0 = PL([0.0, 1.0], [-1.0, 0.0], 1.0, 1.0)
+        low = ProblemSpec(Domain.whole_line(), PL([0.0, 1.0], [0.0, 1.0], 1.0, 1.0), w0)
+        high = ProblemSpec(Domain.whole_line(), PL([0.0, 1.0], [0.0, 1.0], *slopes), w0)
+        with pytest.raises(ValueError, match=f"v0: ordering violated on the {side} tail"):
+            check_monotone_dependence(low, high, sample_points=10)
 
 
 class TestLipschitzMap:

@@ -16,6 +16,7 @@ from freezeflow import (
     freezing_curve_monotone_case,
     get_fixture,
 )
+from freezeflow.diagnostics import random_pl_spec
 from freezeflow.fixtures import (
     PARABOLAS_LEFT_CORNER,
     PARABOLAS_RIGHT_CORNER,
@@ -183,6 +184,34 @@ def test_one_sided_slope_skips_a_sample_on_the_corner(dtdx):
     slope, unbounded = _one_sided_slope(pts, (0.0, 0.0))
     assert math.isfinite(slope) and not unbounded
     assert abs(slope - dtdx) < 1e-12
+
+
+def _one_ulp_right(spec):
+    """The spec with every breakpoint and segment end moved one ulp right."""
+    def up(xs):
+        return np.nextafter(np.asarray(xs, dtype=float), math.inf)
+
+    def pl(f):
+        return PL(up(f.xs), f.ys, f.left_slope, f.right_slope)
+
+    dom = spec.domain
+    return ProblemSpec(Domain.segment(*up([dom.a1, dom.a2]).tolist()) if dom.is_segment else dom, pl(spec.v0), pl(spec.w0))
+
+
+@pytest.mark.parametrize("k", [5, 13])
+def test_corner_order_survives_a_one_ulp_shift(k):
+    # two thaw/freeze corners used to swap places: candidates were ordered by
+    # the distance between a segment's ends, which at a corner is rounding
+    rng = np.random.default_rng(99)
+    spec = [random_pl_spec(rng, segment=bool(i % 2)) for i in range(k + 1)][k]
+    found = []
+    for s in (spec, _one_ulp_right(spec)):
+        lo, hi = s.breakpoint_span()
+        bset = extract_boundaries(SolutionField(s, tolerance=1e-9), (lo, hi, 0.0, 2.0), (130, 120))
+        found.append(bset.corners)
+    assert len(found[0]) == len(found[1]) >= 5
+    for a, b in zip(*found):
+        assert a.kind is b.kind and abs(a.x - b.x) <= 1e-9 and abs(a.t - b.t) <= 1e-9, (a, b)
 
 
 # corners of each fixture: kind, position, and (freezing, thawing) slope checks

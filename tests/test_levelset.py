@@ -632,9 +632,15 @@ class TestInversion:
                 ([0.5, math.nan], [0.1]),
                 ([0.5], [math.inf]),
                 ([0.5], [0.2, math.nan]),
+                ([0.5], [0.2, -0.1]),
             ):
                 with pytest.raises(ValueError):
                     field.eval_grid(xs, ts)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-10, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, wedge_spec, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            SolutionField(wedge_spec, tolerance=tolerance)
 
     def test_empty_grid(self, wedge_field):
         for xs, ts in (([], []), ([0.5, 1.0], []), ([], [0.0, 1.0])):

@@ -173,6 +173,13 @@ class TestValidate:
         assert not rep.admissible
         assert any(i.code == "constraint" for i in rep.issues)
 
+    def test_right_tail_violation(self):
+        # v0 - w0 falls at rate 0.5 right of the last breakpoint
+        v0 = PL([0.0, 1.0], [1.0, 2.0], 1.0, 1.0)
+        w0 = PL([0.0, 1.0], [0.0, 1.0], 1.0, 1.5)
+        rep = validate(ProblemSpec(Domain.whole_line(), v0, w0))
+        assert [(i.code, i.message, i.location) for i in rep.issues] == [("constraint", "v0 < w0 on the right tail", math.inf)]
+
     def test_boundary_equality_required(self):
         v0 = PL([0.0, 1.0], [0.5, 1.0])
         w0 = PL([0.0, 1.0], [0.0, 1.0])
@@ -312,6 +319,15 @@ class TestJson:
         back = spec_from_json(json.loads(json.dumps(obj)))
         assert back.v0.xs == wedge_spec.v0.xs
         assert back.w0.left_slope == wedge_spec.w0.left_slope
+
+    def test_round_trip_on_a_segment(self, tent_spec):
+        obj = json.loads(json.dumps(spec_to_json(tent_spec)))
+        dom = tent_spec.domain
+        assert obj["domain"] == {"kind": "segment", "a1": dom.a1, "a2": dom.a2}
+        back = spec_from_json(obj)
+        assert back.domain.is_segment and (back.domain.a1, back.domain.a2) == (dom.a1, dom.a2)
+        for f, g in ((back.v0, tent_spec.v0), (back.w0, tent_spec.w0)):
+            assert (f.xs, f.ys, f.left_slope, f.right_slope) == (g.xs, g.ys, g.left_slope, g.right_slope)
 
     def test_mu_sigma_form(self):
         obj = {
