@@ -64,9 +64,13 @@ def _load_problem(args) -> ProblemSpec:
             raise CliError(str(exc), EXIT_BAD_CONFIG)
     if args.problem:
         try:
-            return load_spec(args.problem)
+            spec = load_spec(args.problem)
         except (OSError, KeyError, ValueError, TypeError, AttributeError, json.JSONDecodeError) as exc:
             raise CliError(f"invalid problem file: {exc}", EXIT_BAD_CONFIG)
+        lo, hi = spec.breakpoint_span()
+        if not math.isfinite(hi - lo):  # sampling and grids over the span would overflow
+            raise CliError(f"invalid problem file: the breakpoint span [{lo:g}, {hi:g}] is too wide", EXIT_BAD_CONFIG)
+        return spec
     raise CliError("one of --fixture or --problem is required", EXIT_BAD_CONFIG)
 
 
@@ -127,6 +131,8 @@ def cmd_solve(args) -> int:
     nx, nt = _parse_grid(args.grid, 1)
     if args.window:
         x0, x1, t0, t1 = _parse_pair(args.window, 4, "window")
+        if not math.isfinite(x1 - x0) or not math.isfinite(t1 - t0):
+            raise CliError(f"--window {args.window!r} is too wide: its width overflows", EXIT_BAD_CONFIG)
     else:
         lo, hi = spec.breakpoint_span()
         x0, x1, t0, t1 = lo, hi, 0.0, get_fixture(args.fixture).horizon if args.fixture else 1.0
@@ -268,9 +274,7 @@ def cmd_oracle(args) -> int:
     spec = _load_problem(args)
     rng = np.random.default_rng(args.seed)
     lo, hi = spec.breakpoint_span()
-    v_lo, v_hi = spec.v0.min_max_on(lo, hi)
-    w_lo, w_hi = spec.w0.min_max_on(lo, hi)
-    bs = rng.uniform(w_lo - 0.5, v_hi + 0.5, size=args.levels)
+    bs = diag.random_levels(spec, rng, args.levels)
     ts = rng.uniform(0.0, (hi - lo) + 1.0, size=args.levels)
     results = []
     worst = 0.0
@@ -280,7 +284,7 @@ def cmd_oracle(args) -> int:
         ob, orr = orc.oracle_level_sets(spec, b, t)
         d = max(sub.symmetric_difference_measure(ob), sup.symmetric_difference_measure(orr))
         worst = max(worst, d)
-        results.append({"b": float(b), "t": float(t), "symmetric_difference": d})
+        results.append({"b": b, "t": float(t), "symmetric_difference": d})
     _write(args.out, _json_text({"worst": worst, "comparisons": results}))
     return 0
 

@@ -56,8 +56,9 @@ def check_momentum_energy(
 
     Both are conserved exactly by the dynamics; the reported bound is the
     midpoint-rule error for piecewise-linear integrands, which is confined to
-    the cells containing kinks.  Raises ValueError where the integrals or
-    their bounds overflow.
+    the cells containing kinks.  Every time is evaluated on one grid with
+    one bracket.  Raises ValueError where the integrals or their bounds
+    overflow.
     """
     spec = field.spec
     if not spec.domain.is_segment:
@@ -75,16 +76,12 @@ def check_momentum_energy(
         en_bound = (a2 - a1) * h * h * (2 * lam) ** 2 / 24.0 + n_kinks * 4.0 * m_scale * lam * h * h
     except OverflowError:  # float ** raises where * gives inf; reported below
         en_bound = math.inf
-    mus, ens = [], []
-    for t in times:
-        V, W = field.eval_grid(xs, [t])
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            mu = V[0] + W[0]
-            sg = V[0] - W[0]
-            mus.append(h * float(np.sum(mu)))
-            ens.append(h * float(np.sum(mu * mu + sg * sg)))
-    dev_mu = max(abs(m - mus[0]) for m in mus)
-    dev_en = max(abs(e - ens[0]) for e in ens)
+    V, W = field.eval_grid(xs, times)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        mu, sg = V + W, V - W
+        mus = h * np.sum(mu, axis=1)
+        ens = h * np.sum(mu * mu + sg * sg, axis=1)
+        dev_mu, dev_en = float(np.max(np.abs(mus - mus[0]))), float(np.max(np.abs(ens - ens[0])))
     # solver tolerance enters linearly through the integrand values
     tol_term = 2.0 * field.tolerance * max(1.0, v_hi - w_lo) * (a2 - a1)
     if not all(map(math.isfinite, (*mus, *ens, dev_mu, dev_en, en_bound, 8 * m_scale * tol_term))):
@@ -198,13 +195,11 @@ def check_total_variation(
     finite global variation; with sloped tails, or on a segment window,
     variation can slide in across the window edges, so the check then only
     reports the measured drift (passed unconditionally) instead of
-    asserting the bound.
+    asserting the bound.  Every time is evaluated on one grid with one
+    bracket.
     """
-    lo, hi = window
     spec = field.spec
-    if spec.domain.is_segment:
-        lo = max(lo, spec.domain.a1)
-        hi = min(hi, spec.domain.a2)
+    lo, hi = max(window[0], spec.domain.a1), min(window[1], spec.domain.a2)
     flat_tails = (
         not spec.domain.is_segment
         and spec.v0.left_slope == 0.0
@@ -215,15 +210,8 @@ def check_total_variation(
     xs = np.linspace(lo, hi, samples)
     spacing = xs[1] - xs[0]
     lam = spec.lipschitz
-    tv_v, tv_w = [], []
-    for t in sorted(times):
-        V, W = field.eval_grid(xs, [t])
-        tv_v.append(float(np.sum(np.abs(np.diff(V[0])))))
-        tv_w.append(float(np.sum(np.abs(np.diff(W[0])))))
-    worst = 0.0
-    for seq in (tv_v, tv_w):
-        for a, b in zip(seq, seq[1:]):
-            worst = max(worst, b - a)
+    tv = np.sum(np.abs(np.diff(field.eval_grid(xs, sorted(times)), axis=2)), axis=2)  # (v, w) x times
+    worst = float(np.max(np.diff(tv, axis=1), initial=0.0))
     slack = 2.0 * lam * spacing + 8.0 * field.tolerance * samples
     if flat_tails:
         return CheckReport.from_measure("total_variation", worst, slack, f"times={sorted(times)}")
@@ -244,21 +232,20 @@ def check_total_variation(
 
 def check_eventual_freeze(field: SolutionField, samples: int = 101) -> CheckReport:
     """After 2 (a2 - a1) time units a segment solution is frozen (v = w),
-    constant in time, and nondecreasing in x."""
+    constant in time, and nondecreasing in x.  Every time is evaluated on
+    one grid with one bracket."""
     spec = field.spec
     if not spec.domain.is_segment:
         raise ValueError("eventual freezing applies to segment domains")
     a1, a2 = spec.domain.a1, spec.domain.a2
     t_star = 2.0 * (a2 - a1)
     xs = np.linspace(a1, a2, samples)
-    times = [t_star, 1.25 * t_star, 1.5 * t_star]
-    rows = [field.eval_grid(xs, [t]) for t in times]
-    worst = 0.0
-    base_v = rows[0][0][0]
-    for V, W in rows:
-        worst = max(worst, float(np.max(np.abs(V[0] - W[0]))))
-        worst = max(worst, float(np.max(np.abs(V[0] - base_v))))
-        worst = max(worst, float(np.max(np.maximum(0.0, -np.diff(V[0])))))
+    V, W = field.eval_grid(xs, [t_star, 1.25 * t_star, 1.5 * t_star])
+    worst = max(
+        float(np.max(np.abs(V - W))),
+        float(np.max(np.abs(V - V[0]))),
+        float(np.max(np.maximum(0.0, -np.diff(V, axis=1)))),
+    )
     bound = field.zone_epsilon() / 5.0  # 2x the scaled solver tolerance
     return CheckReport.from_measure("eventual_freeze", worst, bound, f"t >= {t_star:g}")
 
@@ -266,6 +253,15 @@ def check_eventual_freeze(field: SolutionField, samples: int = 101) -> CheckRepo
 # ---------------------------------------------------------------------------
 # Monotone dependence and the 1-Lipschitz solution map
 # ---------------------------------------------------------------------------
+
+
+def _points(sample_points: int, seed: int, x_lo: float, x_hi: float, t_hi: float):
+    """Seeded random points (x, t), each drawing x from [x_lo, x_hi) and
+    then t from [0, t_hi)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(sample_points):
+        x = rng.uniform(x_lo, x_hi)
+        yield x, rng.uniform(0.0, t_hi)
 
 
 def _assert_ordered(fa: PiecewiseLinear, fb: PiecewiseLinear, what: str):
@@ -290,17 +286,11 @@ def check_monotone_dependence(
     _assert_ordered(spec_a.w0, spec_b.w0, "w0")
     fa = SolutionField(spec_a, tolerance=tolerance)
     fb = SolutionField(spec_b, tolerance=tolerance)
-    rng = np.random.default_rng(seed)
     lo, hi = spec_a.breakpoint_span()
-    worst = -INF
-    for _ in range(sample_points):
-        if spec_a.domain.is_segment:
-            x = rng.uniform(spec_a.domain.a1, spec_a.domain.a2)
-        else:
-            x = rng.uniform(lo - 1.0, hi + 1.0)
-        t = rng.uniform(0.0, hi - lo + 1.0)
-        worst = max(worst, fa.eval_v(x, t) - fb.eval_v(x, t))
-        worst = max(worst, fa.eval_w(x, t) - fb.eval_w(x, t))
+    pad = 0.0 if spec_a.domain.is_segment else 1.0
+    points = _points(sample_points, seed, lo - pad, hi + pad, hi - lo + 1.0)
+    pairs = ((fa.eval_pair(x, t), fb.eval_pair(x, t)) for x, t in points)
+    worst = max((a - b for pa, pb in pairs for a, b in zip(pa, pb)), default=-INF)
     bound = fa.zone_epsilon() / 5.0 + fb.zone_epsilon() / 5.0
     return CheckReport.from_measure("monotone_dependence", worst, bound, f"{sample_points} samples")
 
@@ -332,7 +322,6 @@ def check_lipschitz_map(
     a = float(window)
     fa = SolutionField(spec_a, tolerance=tolerance)
     fb = SolutionField(spec_b, tolerance=tolerance)
-    rng = np.random.default_rng(seed)
     if spec_a.domain.is_segment:
         x_lo, x_hi = spec_a.domain.a1, spec_a.domain.a2
         d_inf = data_sup_distance(spec_a, spec_b, x_lo, x_hi)
@@ -341,12 +330,9 @@ def check_lipschitz_map(
         x_lo, x_hi = -a, a
         d_inf = data_sup_distance(spec_a, spec_b, -2 * a, 2 * a)
         t_hi = a
-    worst = 0.0
-    for _ in range(sample_points):
-        x = rng.uniform(x_lo, x_hi)
-        t = rng.uniform(0.0, t_hi * 0.999)
-        worst = max(worst, abs(fa.eval_v(x, t) - fb.eval_v(x, t)))
-        worst = max(worst, abs(fa.eval_w(x, t) - fb.eval_w(x, t)))
+    points = _points(sample_points, seed, x_lo, x_hi, t_hi * 0.999)
+    pairs = ((fa.eval_pair(x, t), fb.eval_pair(x, t)) for x, t in points)
+    worst = max((abs(a - b) for pa, pb in pairs for a, b in zip(pa, pb)), default=0.0)
     bound = d_inf + 2.0 * (fa.zone_epsilon() + fb.zone_epsilon()) / 5.0
     return CheckReport.from_measure(
         "lipschitz_map", worst, bound, f"data distance {d_inf:.3e}, {sample_points} samples"
@@ -411,19 +397,21 @@ def perturb_spec(spec: ProblemSpec, rng: np.random.Generator, amplitude: float) 
 
 def check_constraint(field: SolutionField, sample_points: int = 400, seed: int = 0) -> CheckReport:
     """v >= w - 2 tolerance on a random sample of space-time points."""
-    rng = np.random.default_rng(seed)
-    spec = field.spec
-    lo, hi = spec.breakpoint_span()
-    worst = -INF
-    for _ in range(sample_points):
-        if spec.domain.is_segment:
-            x = rng.uniform(spec.domain.a1, spec.domain.a2)
-        else:
-            x = rng.uniform(lo - 2.0, hi + 2.0)
-        t = rng.uniform(0.0, (hi - lo) + 1.0)
-        v, w = field.eval_pair(x, t)
-        worst = max(worst, w - v)
+    lo, hi = field.spec.breakpoint_span()
+    pad = 0.0 if field.spec.domain.is_segment else 2.0
+    points = _points(sample_points, seed, lo - pad, hi + pad, (hi - lo) + 1.0)
+    pairs = (field.eval_pair(x, t) for x, t in points)
+    worst = max((w - v for v, w in pairs), default=-INF)
     return CheckReport.from_measure("constraint", worst, field.zone_epsilon() / 5.0)
+
+
+def random_levels(spec: ProblemSpec, rng: np.random.Generator, n: int) -> List[float]:
+    """n levels drawn uniformly from the data's values over the breakpoint
+    span, widened by 1/2 on both sides."""
+    lo, hi = spec.breakpoint_span()
+    v_lo, v_hi = spec.v0.min_max_on(lo, hi)
+    w_lo, w_hi = spec.w0.min_max_on(lo, hi)
+    return rng.uniform(min(v_lo, w_lo) - 0.5, max(v_hi, w_hi) + 0.5, size=n).tolist()
 
 
 def run_default_checks(
@@ -433,10 +421,7 @@ def run_default_checks(
     lo, hi = spec.breakpoint_span()
     pad = (hi - lo) + 1.0
     horizon = sorted(times) if times else [0.0, 0.25 * pad, 0.5 * pad, pad]
-    rng = np.random.default_rng(seed)
-    v_lo, v_hi = spec.v0.min_max_on(lo, hi)
-    w_lo, w_hi = spec.w0.min_max_on(lo, hi)
-    levels = list(rng.uniform(w_lo - 0.5, v_hi + 0.5, size=12))
+    levels = random_levels(spec, np.random.default_rng(seed), 12)
     reports = [
         check_constraint(field, seed=seed),
         check_occupation(field, levels, horizon, (lo - 2 * pad, hi + 2 * pad)),

@@ -70,7 +70,7 @@ _MAX_BISECT = 60
 _SNAP = 1e-3  # grid values this many final cells from a midpoint probe it
 _ROUND = 1e-13  # relative rounding allowed for labels and thresholds in closed form
 _FEW = 16  # grid points whose membership at a level is probed one by one
-_CHUNK = 4096  # grid points solved in closed form together
+_CHUNK = 4096  # grid points solved in closed form together: bounds peak memory on grids of up to 10^6 points
 _MATCH = 1e-9  # relative distance within which a v piece and a w piece stand at one x
 
 

@@ -94,6 +94,31 @@ def test_oracle_comparison(tmp_path):
     assert obj["worst"] < 1e-9
 
 
+def test_oracle_and_check_draw_levels_through_one_helper(tmp_path, monkeypatch):
+    drawn, original = [], freezeflow.diagnostics.random_levels
+
+    def spy(*args):
+        drawn.append(original(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(freezeflow.diagnostics, "random_levels", spy)
+    assert run_cli(["oracle", "--fixture", "tent", "--levels", "3", "--out", str(tmp_path / "oracle.json")]) == 0
+    assert run_cli(["check", "--fixture", "tent", "--out", str(tmp_path / "checks.json")]) == 0
+    assert [len(levels) for levels in drawn] == [3, 12]
+    assert all(type(b) is float for levels in drawn for b in levels)  # numpy floats warn on overflow
+
+
+def test_oracle_on_inverted_data_exit_0(tmp_path):
+    # oracle does not validate: with w0 above v0 the level range drawn from
+    # w0's low to v0's high was empty and raised a traceback
+    flat = {"breakpoints": [0.0], "values": [0.0], "left_slope": 0.0, "right_slope": 0.0}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"domain": {"kind": "whole_line"}, "v0": flat, "w0": dict(flat, values=[2.0])}))
+    out = tmp_path / "oracle.json"
+    assert run_cli(["oracle", "--problem", str(path), "--levels", "2", "--out", str(out)]) == 0
+    assert all(-0.5 <= c["b"] <= 2.5 for c in json.loads(out.read_text())["comparisons"])
+
+
 # SHA-256 of output that README promises is byte-stable: solve on every
 # fixture and on the benchmark's two solve grids, one solve as JSON,
 # README's trace and oracle examples, boundary on two fixtures, a forward
@@ -364,6 +389,7 @@ def problem_files(draw):
 
 
 TINY_SLOPE = {"breakpoints": [0.0], "values": [0.0], "left_slope": 0.0, "right_slope": 2.2e-309}
+HUGE_SPAN = {"breakpoints": [-1e308, 1e308], "left_slope": 0.0, "right_slope": 0.0}
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -382,9 +408,19 @@ TINY_SLOPE = {"breakpoints": [0.0], "values": [0.0], "left_slope": 0.0, "right_s
         "w0": dict(LINE, values=[-1.0], right_slope=4.190450810254285e-285),
     }
 )
+# a breakpoint span whose length overflows: sampling over it raised OverflowError
+@example(
+    obj={
+        "domain": {"kind": "whole_line"},
+        "v0": dict(HUGE_SPAN, values=[0.0, 1.0]),
+        "w0": dict(HUGE_SPAN, values=[0.0, 0.5]),
+    }
+)
 def test_generated_problem_files_exit_0_or_2(tmp_path, obj):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(obj))
+    oracle = ["oracle", "--problem", str(path), "--levels", "2", "--out", str(tmp_path / "oracle.json")]
+    assert exit_code(oracle) in (0, 2)  # oracle skips validation: inadmissible data runs too
     code = exit_code(["solve", "--problem", str(path), "--grid", "3,2", "--window=0,1,0,1"])
     try:
         domain = freezeflow.load_spec(str(path)).domain
@@ -477,12 +513,18 @@ TRACE_V = ["trace", "--fixture", "wedge", "--kind", "v", "--x", "1"]
         ["check", "--fixture", "seg-tent", "--tol", "1e-300"],
         ["check", "--fixture", "wedge", "--tol", "9.9e-14"],
         ["solve", "--fixture", "wedge", "--grid", "3,2", "--tol", "1e-14"],
+        # random levels reached interval arithmetic as numpy floats, whose
+        # overflow printed a warning line before the error
+        ["check", "--fixture", "wedge", "--times", "1e308"],
+        # a window whose width overflows printed numpy warnings and exited 3
+        ["solve", "--fixture", "wedge", "--grid", "3,3", "--window=-1e308,1e308,0,1"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_bad_arguments_exit_2(capsys, argv):
     assert exit_code(argv) == 2
-    assert "error:" in capsys.readouterr().err.splitlines()[-1]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error:" in err
 
 
 @pytest.mark.parametrize("grid", ["40,40", "120,120"])

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from freezeflow import (
+    FIXTURES,
     Domain,
     PiecewiseLinear,
     ProblemSpec,
     SolutionField,
+    check_constraint,
     check_eventual_freeze,
     check_lipschitz_map,
     check_momentum_energy,
@@ -21,6 +23,84 @@ from freezeflow import (
 )
 
 PL = PiecewiseLinear
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts the SolutionField queries made while a test runs."""
+    counts = dict.fromkeys(("eval_grid", "eval_pair", "eval_v", "eval_w"), 0)
+    for name in counts:
+
+        def counted(self, *args, _name=name, _method=getattr(SolutionField, name)):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(SolutionField, name, counted)
+    return counts
+
+
+GRID_CHECKS = {
+    "momentum_energy": lambda field: check_momentum_energy(field, [0.0, 0.5, 1.0, 2.0], 256),
+    "total_variation": lambda field: check_total_variation(field, [0.0, 0.5, 1.0, 2.0], (-1.0, 3.0), 101),
+    "eventual_freeze": check_eventual_freeze,
+}
+
+
+@pytest.mark.parametrize("check", GRID_CHECKS.values(), ids=list(GRID_CHECKS))
+def test_grid_checks_make_one_grid_call(calls, tent_field, check):
+    check(tent_field)
+    assert calls == {"eval_grid": 1, "eval_pair": 0, "eval_v": 0, "eval_w": 0}
+
+
+@pytest.mark.parametrize(
+    "check",
+    [check_monotone_dependence, lambda a, b, **kw: check_lipschitz_map(a, b, window=2.0, **kw)],
+    ids=["monotone_dependence", "lipschitz_map"],
+)
+def test_paired_checks_ask_each_field_once_per_point(calls, tent_spec, check):
+    check(tent_spec, tent_spec, sample_points=7)
+    assert calls == {"eval_grid": 0, "eval_pair": 14, "eval_v": 0, "eval_w": 0}
+
+
+def _seeded_points(n, seed, x_lo, x_hi, t_hi):
+    """The sampled checks' points: x, then t, for each point."""
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(x_lo, x_hi), rng.uniform(0.0, t_hi)) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "case", [*sorted(FIXTURES), 0, 1, 2, 3], ids=lambda c: c if isinstance(c, str) else f"random-{c}"
+)
+def test_sampled_checks_equal_a_per_side_reference(case):
+    # the checks ask eval_pair once per field and point; a reference asking
+    # eval_v and eval_w on the same seeded points gives the same numbers
+    if isinstance(case, str):
+        spec = get_fixture(case).build()
+        upper = ProblemSpec(spec.domain, spec.v0.shift_value(0.25), spec.w0.shift_value(0.25))
+    else:
+        rng = np.random.default_rng(case)
+        spec = random_pl_spec(rng, segment=bool(case % 2))
+        other = perturb_spec(spec, rng, 0.3)
+        upper = ProblemSpec(spec.domain, other.v0.shift_value(0.5), other.w0.shift_value(0.5))
+    fa, fb = SolutionField(spec, tolerance=1e-10), SolutionField(upper, tolerance=1e-10)
+    lo, hi = spec.breakpoint_span()
+    seg, n = spec.domain.is_segment, 25
+
+    def sides(x, t):
+        return (fa.eval_v(x, t) - fb.eval_v(x, t), fa.eval_w(x, t) - fb.eval_w(x, t))
+
+    pad = 0.0 if seg else 2.0
+    points = _seeded_points(n, 1, lo - pad, hi + pad, hi - lo + 1.0)
+    expected = max(fa.eval_w(x, t) - fa.eval_v(x, t) for x, t in points)
+    assert check_constraint(fa, sample_points=n, seed=1).measured == expected
+    pad = 0.0 if seg else 1.0
+    points = _seeded_points(n, 2, lo - pad, hi + pad, hi - lo + 1.0)
+    expected = max(d for x, t in points for d in sides(x, t))
+    assert check_monotone_dependence(spec, upper, sample_points=n, seed=2).measured == expected
+    x_lo, x_hi, t_hi = (lo, hi, 2.0 * (hi - lo)) if seg else (-1.5, 1.5, 1.5)
+    points = _seeded_points(n, 3, x_lo, x_hi, t_hi * 0.999)
+    expected = max(abs(d) for x, t in points for d in sides(x, t))
+    assert check_lipschitz_map(spec, upper, window=1.5, sample_points=n, seed=3).measured == expected
 
 
 class TestMomentumEnergy:
@@ -117,6 +197,20 @@ class TestEventualFreeze:
     def test_whole_line_rejected(self, wedge_field):
         with pytest.raises(ValueError, match="segment domains"):
             check_eventual_freeze(wedge_field)
+
+    @pytest.mark.parametrize("name", ["seg-tent", "tent"])
+    def test_equals_a_per_row_reference(self, name):
+        # every row spans the segment, so each row's own bracket is the
+        # bracket the check's one grid shares
+        field = SolutionField(get_fixture(name).build(), tolerance=1e-10)
+        a1, a2 = field.spec.domain.a1, field.spec.domain.a2
+        t_star, xs = 2.0 * (a2 - a1), np.linspace(a1, a2, 101)
+        rows = [field.eval_grid(xs, [t]) for t in (t_star, 1.25 * t_star, 1.5 * t_star)]
+        base = rows[0][0][0]
+        expected = 0.0
+        for (v,), (w,) in rows:
+            expected = max(expected, np.max(np.abs(v - w)), np.max(np.abs(v - base)), np.max(-np.diff(v)))
+        assert check_eventual_freeze(field).measured == expected
 
     def test_downhill_mirror_identity(self):
         # decreasing mu0 with sigma0 = 0 on [-a, a]: mu(x, t) = mu(-x, 0)
