@@ -151,13 +151,26 @@ def _trace(
     field_: SolutionField,
     x: float,
     t: float,
-    dt: float,
-    t_end: float,
     kind: CurveKind,
     forward: bool,
+    dt: Optional[float] = None,
+    t_end: Optional[float] = None,
 ) -> Curve:
-    if forward and t_end < t:
-        raise ValueError(f"forward tracing requires t_end >= t, got t_end={t_end!r} < t={t!r}")
+    """Trace the characteristic of ``kind`` from (x, t): backward down to
+    t = 0 (or the emitting boundary of a segment), raising
+    CharacteristicStepError when stuck, or forward to ``t_end`` (default
+    t + 1), ending early with a recorded reason where no continuation
+    preserves the value.  The step dt defaults to 1/1000 of the span."""
+    if forward:
+        t_end = t_end if t_end is not None else t + 1.0
+        if t_end < t:
+            raise ValueError(f"forward tracing requires t_end >= t, got t_end={t_end!r} < t={t!r}")
+        dt = dt if dt is not None else 1e-3 * max(t_end - t, 1e-9)
+    else:
+        if t <= 0:
+            raise ValueError("backward tracing requires t > 0")
+        t_end = 0.0
+        dt = dt if dt is not None else 1e-3 * t
     check_step(dt, (t_end - t) if forward else (t - t_end))
     spec = field_.spec
     dom = spec.domain
@@ -166,7 +179,7 @@ def _trace(
     v_char = kind is CurveKind.V_CHAR
     built: dict = {}  # the levels of this trace, its start's and samples' alike
     field_._check_point(x, t)
-    start = field_._bracket(x, t)
+    start = field_._value_range(x - t, x + t)
     b_lo, b_hi = field_._cell(x, t, start, not v_char, built)
     value = 0.5 * (b_lo + b_hi)
     zone0 = _zone(field_, x, t, eps, built, (not v_char, value))
@@ -184,7 +197,7 @@ def _trace(
         within the rounding of a path that runs on the triangle's edge)."""
         field_._check_point(xs, ts)
         if abs(xs - x) > t - ts + 1e-12 * (abs(x) + t):
-            own = field_._bracket(xs, ts)
+            own = field_._value_range(xs - ts, xs + ts)
             if not start[0] <= own[0] <= own[1] <= start[1]:
                 return field_._invert(xs, ts, own, not v_char, built)
         # a label in the outer slice and not in the inner one decides every
@@ -236,34 +249,24 @@ def _trace(
 
 
 def trace_backward_v(field_: SolutionField, x: float, t: float, dt: Optional[float] = None) -> Curve:
-    """Trace the backward v-characteristic from (x, t) down to t = 0 (or the
-    left boundary on a segment).  Raises CharacteristicStepError when stuck."""
-    if t <= 0:
-        raise ValueError("backward tracing requires t > 0")
-    dt = dt if dt is not None else 1e-3 * t
-    return _trace(field_, x, t, dt, 0.0, CurveKind.V_CHAR, forward=False)
+    """The backward v-characteristic from (x, t) (see ``_trace``)."""
+    return _trace(field_, x, t, CurveKind.V_CHAR, False, dt)
 
 
 def trace_forward_v(
     field_: SolutionField, x: float, t: float, dt: Optional[float] = None, t_end: Optional[float] = None
 ) -> Curve:
-    """Trace the forward v-characteristic; terminates early with a recorded
-    reason at points with no continuation."""
-    t_end = t_end if t_end is not None else t + 1.0
-    dt = dt if dt is not None else 1e-3 * max(t_end - t, 1e-9)
-    return _trace(field_, x, t, dt, t_end, CurveKind.V_CHAR, forward=True)
+    """The forward v-characteristic from (x, t) (see ``_trace``)."""
+    return _trace(field_, x, t, CurveKind.V_CHAR, True, dt, t_end)
 
 
 def trace_backward_w(field_: SolutionField, x: float, t: float, dt: Optional[float] = None) -> Curve:
-    if t <= 0:
-        raise ValueError("backward tracing requires t > 0")
-    dt = dt if dt is not None else 1e-3 * t
-    return _trace(field_, x, t, dt, 0.0, CurveKind.W_CHAR, forward=False)
+    """The backward w-characteristic from (x, t) (see ``_trace``)."""
+    return _trace(field_, x, t, CurveKind.W_CHAR, False, dt)
 
 
 def trace_forward_w(
     field_: SolutionField, x: float, t: float, dt: Optional[float] = None, t_end: Optional[float] = None
 ) -> Curve:
-    t_end = t_end if t_end is not None else t + 1.0
-    dt = dt if dt is not None else 1e-3 * max(t_end - t, 1e-9)
-    return _trace(field_, x, t, dt, t_end, CurveKind.W_CHAR, forward=True)
+    """The forward w-characteristic from (x, t) (see ``_trace``)."""
+    return _trace(field_, x, t, CurveKind.W_CHAR, True, dt, t_end)

@@ -182,21 +182,8 @@ def cmd_boundary(args) -> int:
         "warnings": bset.warnings,
         "freezing": [{"samples": [list(p) for p in c.samples]} for c in bset.freezing],
         "thawing": [{"samples": [list(p) for p in c.samples]} for c in bset.thawing],
-        "corners": [],
+        "corners": [{"x": c.x, "t": c.t, "kind": c.kind.value, **vars(c.slopes)} for c in bset.corners],
     }
-    for c in bset.corners:
-        sl = c.slopes
-        obj["corners"].append(
-            {
-                "x": c.x,
-                "t": c.t,
-                "kind": c.kind.value,
-                "freezing_slope": sl.freezing_slope,
-                "thawing_slope": sl.thawing_slope,
-                "freezing_unbounded": sl.freezing_unbounded,
-                "thawing_unbounded": sl.thawing_unbounded,
-            }
-        )
     _write(args.out, _json_text(obj))
     return 0
 
@@ -216,19 +203,9 @@ def cmd_trace(args) -> int:
         raise CliError(f"--t-end must not precede --t, got {args.t_end!r} < {args.t!r}", EXIT_BAD_CONFIG)
     spec = _load_problem(args)
     field = _make_field(spec, args.tol)
-    tracer = {
-        ("v", "backward"): chars.trace_backward_v,
-        ("v", "forward"): chars.trace_forward_v,
-        ("w", "backward"): chars.trace_backward_w,
-        ("w", "forward"): chars.trace_forward_w,
-    }[(args.kind, args.direction)]
-    kwargs = {}
-    if args.dt is not None:
-        kwargs["dt"] = args.dt
-    if args.direction == "forward" and args.t_end is not None:
-        kwargs["t_end"] = args.t_end
+    kind = chars.CurveKind.V_CHAR if args.kind == "v" else chars.CurveKind.W_CHAR
     try:
-        curve = tracer(field, args.x, args.t, **kwargs)
+        curve = chars._trace(field, args.x, args.t, kind, not backward, args.dt, args.t_end)
     except chars.CharacteristicStepError as exc:
         raise CliError(str(exc), EXIT_RUNTIME)
     except chars.StepError as exc:

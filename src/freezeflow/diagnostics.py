@@ -373,8 +373,12 @@ def random_pl_spec(rng: np.random.Generator, segment: Optional[bool] = None) -> 
 
 def perturb_spec(spec: ProblemSpec, rng: np.random.Generator, amplitude: float) -> ProblemSpec:
     """Admissible perturbation: a common shift plus a nonnegative gap widening
-    (zero at segment endpoints), so ordering and boundary ties survive."""
+    (zero at segment endpoints), so ordering and boundary ties survive.  It
+    is laid on the breakpoint span, or on [lo - 1, lo + 1] for a one-point
+    span."""
     lo, hi = spec.breakpoint_span()
+    if hi == lo:
+        lo, hi = lo - 1.0, hi + 1.0
     k = int(rng.integers(3, 7))
     xs = np.linspace(lo, hi, k)
     common = rng.uniform(-amplitude, amplitude, size=k)

@@ -53,17 +53,14 @@ class CornerSlopes:
 
 @dataclass
 class Corner:
-    """A corner of the frozen zone.  ``freezing_pts`` and ``thawing_pts`` are
-    the first vertices of its two branches (for a tip, the left and the right
-    thawing branch), running away from it; ``slopes`` holds the one-sided
-    slopes of the exact pieces next to it."""
+    """A corner of the frozen zone.  ``slopes`` holds the one-sided slopes of
+    the exact pieces next to it, on its two branches (for a tip, the left and
+    the right thawing branch)."""
 
     x: float
     t: float
     kind: CornerKind
-    freezing_pts: Optional[List[Tuple[float, float]]] = None
-    thawing_pts: Optional[List[Tuple[float, float]]] = None
-    slopes: Optional[CornerSlopes] = None
+    slopes: CornerSlopes
 
 
 @dataclass
@@ -239,7 +236,7 @@ def _corners(ends, thawing) -> List[Corner]:
     def add(kind, pt, freezing_pts, thawing_pts):
         fs, fu = _one_sided_slope(freezing_pts, pt)
         ts, tu = _one_sided_slope(thawing_pts, pt)
-        corners.append(Corner(pt[0], pt[1], kind, freezing_pts, thawing_pts, CornerSlopes(fs, ts, fu, tu)))
+        corners.append(Corner(pt[0], pt[1], kind, CornerSlopes(fs, ts, fu, tu)))
 
     def branch(end):
         return end[2][:8] if end[3] else end[2][::-1][:8]

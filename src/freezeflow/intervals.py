@@ -48,10 +48,6 @@ class IntervalUnion:
     def __init__(self, intervals: Iterable[Interval] = ()):
         self.intervals: Tuple[Interval, ...] = _merge(intervals)
 
-    @classmethod
-    def whole_line(cls) -> "IntervalUnion":
-        return cls(((-INF, INF),))
-
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.intervals)
 

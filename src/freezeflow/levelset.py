@@ -782,17 +782,14 @@ class SolutionField:
     # -- brackets ----------------------------------------------------------
 
     def _value_range(self, lo_x: float, hi_x: float) -> Tuple[float, float]:
-        """Smallest and largest value of v0 and w0 over [lo_x, hi_x]."""
+        """Smallest and largest value of v0 and w0 over [lo_x, hi_x] within
+        the domain: every query's bracket, as the value at (x, t) depends
+        only on the data over [x - t, x + t]."""
+        dom = self.spec.domain
+        lo_x, hi_x = max(lo_x, dom.a1), min(hi_x, dom.a2)  # the whole line's ends are infinite
         v_lo, v_hi = self.spec.v0.min_max_on(lo_x, hi_x)
         w_lo, w_hi = self.spec.w0.min_max_on(lo_x, hi_x)
         return min(v_lo, w_lo), max(v_hi, w_hi)
-
-    def _bracket(self, x: float, t: float) -> Tuple[float, float]:
-        dom = self.spec.domain
-        lo_x, hi_x = x - t, x + t
-        if dom.is_segment:
-            lo_x, hi_x = max(lo_x, dom.a1), min(hi_x, dom.a2)
-        return self._value_range(lo_x, hi_x)
 
     def _check_point(self, x: float, t: float):
         if not 0.0 <= t < INF:  # false for nan too
@@ -883,7 +880,7 @@ class SolutionField:
         with the query's ``built``.
         """
         self._check_point(x, t)
-        lo, hi = bracket if bracket is not None else self._bracket(x, t)
+        lo, hi = bracket if bracket is not None else self._value_range(x - t, x + t)
         lo, hi, tol = _padded(lo, hi, self.tolerance)
         budget = min(math.log2((hi - lo) / tol), _MAX_BISECT) + 14  # plain depth + 14
         rounding = tol <= _ROUND * (1.0 + abs(lo) + abs(hi))
@@ -960,7 +957,7 @@ class SolutionField:
             plain = est is not None and z - a > 0.5 * width
 
     def eval_pair(self, x: float, t: float) -> Tuple[float, float]:
-        br, built = self._bracket(x, t), {}
+        br, built = self._value_range(x - t, x + t), {}
         return self._keep(built, (self._invert(x, t, br, False, built), self._invert(x, t, br, True, built)))
 
     # -- sets --------------------------------------------------------------
@@ -997,10 +994,6 @@ class SolutionField:
         """
         xs = [float(x) for x in xs]
         ts = [float(t) for t in ts]
-        if any(t < 0 for t in ts):
-            raise ValueError("times must be nonnegative")
-        if not all(self.spec.domain.contains(x) for x in xs):
-            raise ValueError("grid x outside the domain")
         if not (xs and ts):
             return np.empty((len(ts), len(xs))), np.empty((len(ts), len(xs)))
         for t in ts:
@@ -1008,25 +1001,17 @@ class SolutionField:
         for x in xs:
             self._check_point(x, ts[0])
         t_hi = max(ts)
-        lo, hi, tol = self._span_bracket(min(xs) - t_hi, max(xs) + t_hi)
+        lo, hi, tol = _padded(*self._value_range(min(xs) - t_hi, max(xs) + t_hi), self.tolerance)
         xn = np.array([self._nudge(x) for x in xs])
         built: dict = {}
         return self._keep(built, _RowProfiles(self, xn, ts, built).values(lo, hi, tol))
-
-    def _span_bracket(self, lo_x: float, hi_x: float) -> Tuple[float, float, float]:
-        """The padded value bracket of [lo_x, hi_x] within the domain and its
-        final cell width (see ``_padded``)."""
-        dom = self.spec.domain
-        if dom.is_segment:
-            lo_x, hi_x = max(lo_x, dom.a1), min(hi_x, dom.a2)
-        return _padded(*self._value_range(lo_x, hi_x), self.tolerance)
 
     def _sweep(self, lo_x: float, hi_x: float):
         """The levels of one sweep in b over the padded value bracket of
         [lo_x, hi_x] (within the domain), in order, and whether each cell
         between neighbours is affine: the cells of ``_split`` with no points,
         so every critical value inside the bracket is a level, unmerged."""
-        lo, hi, _ = self._span_bracket(lo_x, hi_x)
+        lo, hi, _ = _padded(*self._value_range(lo_x, hi_x), self.tolerance)
         built: dict = {}
         cells = self._split(self._level(lo, built), self._level(hi, built), built)
         return self._keep(built, ([cells[0][0]] + [cell[1] for cell in cells], [cell[2] for cell in cells]))

@@ -245,9 +245,6 @@ class PiecewiseLinear:
             None if self.right_slope is None else c * self.right_slope,
         )
 
-    def __neg__(self) -> "PiecewiseLinear":
-        return self.scale(-1.0)
-
     def shift_value(self, c: float) -> "PiecewiseLinear":
         return PiecewiseLinear(self.xs, tuple(y + c for y in self.ys), self.left_slope, self.right_slope)
 

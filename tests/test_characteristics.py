@@ -174,6 +174,22 @@ class TestRunsBound:
                 assert c.constant_slope_runs() <= 3
 
 
+@pytest.mark.parametrize(
+    "tracer, t, kwargs",
+    [
+        # a backward step is 1e-3 * t with no floor, also below t = 1e-9
+        (trace_backward_v, 1e-12, {"dt": 1e-15}),
+        (trace_backward_w, 1e-12, {"dt": 1e-15}),
+        (trace_forward_v, 0.5, {"dt": 1e-3, "t_end": 1.5}),
+        (trace_forward_w, 0.5, {"dt": 1e-3, "t_end": 1.5}),
+    ],
+)
+def test_tracers_default_to_a_thousandth_of_the_span(wedge_field, tracer, t, kwargs):
+    a, b = tracer(wedge_field, 1.0, t), tracer(wedge_field, 1.0, t, **kwargs)
+    assert (a.samples, a.values, a.zones, a.termination) == (b.samples, b.values, b.zones, b.termination)
+    assert len(a.samples) > 100
+
+
 @pytest.mark.parametrize("dt", [-0.1, math.inf])
 @pytest.mark.parametrize("tracer", [trace_backward_v, trace_backward_w, trace_forward_v, trace_forward_w])
 def test_tracers_require_finite_positive_step(wedge_field, tracer, dt):
@@ -302,7 +318,7 @@ def test_samples_are_bisection_on_the_start_bracket(name, spec, horizon):
     lo, hi = (dom.a1, dom.a2) if dom.is_segment else np.add(spec.breakpoint_span(), (-1.0, 1.0))
     rng = np.random.default_rng(sum(map(ord, name)))
     x, t = float(rng.uniform(lo, hi)), float(rng.uniform(0.1, horizon))
-    start = field._bracket(x, t)
+    start = field._value_range(x - t, x + t)
     for kind, tracer, ev in (("v", trace_backward_v, field.eval_v), ("w", trace_backward_w, field.eval_w)):
         c = tracer(field, x, t)
         assert c.termination in ("reached t=0", "left boundary", "right boundary")
@@ -311,7 +327,7 @@ def test_samples_are_bisection_on_the_start_bracket(name, spec, horizon):
     for kind, tracer, ev in (("v", trace_forward_v, field.eval_v), ("w", trace_forward_w, field.eval_w)):
         c = tracer(field, x, t, dt=0.01)
         for (xs, ts), value in zip(c.samples, c.values):
-            own = field._bracket(xs, ts)
+            own = field._value_range(xs - ts, xs + ts)
             inside = start[0] <= own[0] and own[1] <= start[1]
             assert value == ev(xs, ts, start if inside else own), (kind, xs, ts)
 

@@ -198,6 +198,18 @@ class TestEventualFreeze:
         with pytest.raises(ValueError, match="segment domains"):
             check_eventual_freeze(wedge_field)
 
+    def test_data_past_the_segment_ends_are_not_read(self):
+        # seg-tent on [0, 1], with data that climb to 1e6 left of the
+        # segment: the solution is seg-tent's, and so are the zone
+        # threshold and the check's bound (they read 1e6 before)
+        xs = [-10.0, 0.0, 0.5, 1.0]
+        spec = ProblemSpec(Domain.segment(0.0, 1.0), PL(xs, [1e6, 0.0, 0.5, 0.0]), PL(xs, [1e6, 0.0, -0.5, 0.0]))
+        assert validate(spec).errors() == ()
+        field, tent = SolutionField(spec), SolutionField(get_fixture("seg-tent").build())
+        assert field.eval_pair(0.3, 0.4) == tent.eval_pair(0.3, 0.4)
+        assert field.zone_epsilon() == tent.zone_epsilon() == 1e-9
+        assert check_eventual_freeze(field) == check_eventual_freeze(tent)
+
     @pytest.mark.parametrize("name", ["seg-tent", "tent"])
     def test_equals_a_per_row_reference(self, name):
         # every row spans the segment, so each row's own bracket is the
@@ -287,6 +299,16 @@ class TestLipschitzMap:
         other = perturb_spec(spec, rng, 0.3)
         assert validate(other).errors() == ()
         rep = check_lipschitz_map(spec, other, window=2.0, sample_points=60, tolerance=1e-12)
+        assert rep.passed, rep
+
+    @pytest.mark.parametrize("name", ["wedge", "uniform-gap", "thawline"])
+    def test_perturbation_of_a_one_point_span(self, name):
+        # one breakpoint at 0: the perturbation used to be laid on a
+        # zero-length span, whose breakpoints repeat
+        spec = get_fixture(name).build()
+        other = perturb_spec(spec, np.random.default_rng(5), 0.3)
+        assert validate(other).errors() == ()
+        rep = check_lipschitz_map(spec, other, window=2.0, sample_points=40)
         assert rep.passed, rep
 
 

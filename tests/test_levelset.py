@@ -22,7 +22,7 @@ from freezeflow import (
 )
 from freezeflow.fixtures import FIXTURES, wedge_v_exact, wedge_w_exact
 from freezeflow import levelset
-from freezeflow.levelset import _front, _front_table, _LevelPair, extended_level_sets
+from freezeflow.levelset import _front, _front_table, _LevelPair, _padded, extended_level_sets
 from test_set_assembly import edge_spec, signed
 
 PL = PiecewiseLinear
@@ -395,13 +395,25 @@ class TestEval:
         xs = [0.3]
         ts = [0.9]
         V, W = wedge_field.eval_grid(xs, ts)
-        assert V[0, 0] == wedge_field.eval_v(0.3, 0.9, wedge_field._bracket(0.3, 0.9))
+        assert V[0, 0] == wedge_field.eval_v(0.3, 0.9, wedge_field._value_range(0.3 - 0.9, 0.3 + 0.9))
         # and against the closed form on a denser grid
         xs = np.linspace(-5, 5, 41)
         ts = np.linspace(0, 2, 11)
         V, W = wedge_field.eval_grid(xs, ts)
         assert np.max(np.abs(V - wedge_v_exact(xs[None, :], ts[:, None]))) < 1e-9
         assert np.max(np.abs(W - wedge_w_exact(xs[None, :], ts[:, None]))) < 1e-9
+
+    @pytest.mark.parametrize(
+        "name, x, t", [("wedge", 0.3, 0.9), ("wedge", -4.0, 2.5), ("tent", 0.0, 0.5), ("tent", 2.0, 1.3), ("seg-tent", 1.0, 3.0)]
+    )
+    def test_queries_read_the_value_range_of_their_triangle(self, name, x, t):
+        # a query's default bracket is the data's value range over
+        # [x - t, x + t] within the domain, for points, pairs and grids
+        field = SolutionField(get_fixture(name).build())
+        bracket = field._value_range(x - t, x + t)
+        v, w = field.eval_v(x, t, bracket), field.eval_w(x, t, bracket)
+        V, W = field.eval_grid([x], [t])
+        assert (field.eval_v(x, t), field.eval_w(x, t)) == field.eval_pair(x, t) == (v, w) == (V[0, 0], W[0, 0])
 
     def test_constraint_and_sigma_nonnegative(self, wedge_field):
         xs = np.linspace(-3, 3, 31)
@@ -498,7 +510,7 @@ def bisection_reference(field, x, t, bracket, reflected):
     padded bracket and step cap, one uncached level pair per probe."""
     from freezeflow.levelset import _MAX_BISECT, _LevelPair
 
-    lo, hi = bracket if bracket is not None else field._bracket(x, t)
+    lo, hi = bracket if bracket is not None else field._value_range(x - t, x + t)
     tol = field.tolerance * max(1.0, hi - lo)
     pad = 1e-9 * (1.0 + abs(lo) + abs(hi)) + 4.0 * tol
     lo -= pad
@@ -615,11 +627,7 @@ class TestInversion:
             rng.shuffle(xs)
             rng.shuffle(ts)
             V, W = field.eval_grid(xs, ts)
-            # eval_grid's shared bracket
-            lo_x, hi_x = min(xs) - max(ts), max(xs) + max(ts)
-            if spec.domain.is_segment:
-                lo_x, hi_x = max(lo_x, spec.domain.a1), min(hi_x, spec.domain.a2)
-            bracket = field._value_range(lo_x, hi_x)
+            bracket = field._value_range(min(xs) - max(ts), max(xs) + max(ts))  # eval_grid's shared bracket
             for i, t in enumerate(ts):
                 for j, x in enumerate(xs):
                     assert V[i, j] == bisection_reference(field, x, t, bracket, False), (spec, x, t)
@@ -636,6 +644,11 @@ class TestInversion:
             ):
                 with pytest.raises(ValueError):
                     field.eval_grid(xs, ts)
+        # each point's own check rejects a negative time and an x outside a segment
+        with pytest.raises(ValueError, match="nonnegative"):
+            tent_field.eval_grid([0.5, 1.0], [0.2, -0.1])
+        with pytest.raises(ValueError, match="outside the domain"):
+            tent_field.eval_grid([0.5, 2.5], [0.2, 0.1])
 
     @pytest.mark.parametrize("tolerance", [0.0, -1e-10, math.nan, math.inf])
     def test_tolerance_must_be_finite_and_positive(self, wedge_spec, tolerance):
@@ -818,7 +831,7 @@ def test_sweep_has_a_level_at_every_critical_value(name):
     field = SolutionField(spec, tolerance=1e-10)
     levels, affine = field._sweep(lo - horizon, hi + horizon)
     b = [level.b for level in levels]
-    b_lo, b_hi, _ = field._span_bracket(lo - horizon, hi + horizon)
+    b_lo, b_hi, _ = _padded(*field._value_range(lo - horizon, hi + horizon), field.tolerance)
     assert (b[0], b[-1]) == (b_lo, b_hi) and b == sorted(set(b))
     assert {c for c in field._critical if b_lo < c < b_hi} <= set(b)
     assert len(affine) == len(b) - 1
