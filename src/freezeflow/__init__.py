@@ -11,7 +11,6 @@ pinned-balls model the equations arise from.
 from .intervals import IntervalUnion
 from .problem import (
     Domain,
-    DomainKind,
     MuSigmaPair,
     PiecewiseLinear,
     ProblemSpec,
@@ -84,7 +83,6 @@ __all__ = [
     "Curve",
     "CurveKind",
     "Domain",
-    "DomainKind",
     "FIXTURES",
     "Fixture",
     "IntervalUnion",

@@ -70,7 +70,6 @@ class Curve:
     values: List[float] = field(default_factory=list)
     zones: List[ZoneLabel] = field(default_factory=list)
     termination: Optional[str] = None
-    flags: List[Tuple[float, float, str]] = field(default_factory=list)
 
     def slopes(self) -> List[float]:
         """Per-step dx/dt for characteristics, dt/dx for boundary curves."""
@@ -102,17 +101,12 @@ class Curve:
         return sum(1 for s, n in runs if n >= merge_below)
 
 
-def classify(
-    field_: SolutionField,
-    x: float,
-    t: float,
-    zone_epsilon: Optional[float] = None,
-) -> ZoneLabel:
-    """Zone label at (x, t): liquid when v - w exceeds the gap threshold,
-    frozen when the gap stays closed just above t, boundary otherwise."""
-    eps = zone_epsilon if zone_epsilon is not None else field_.zone_epsilon()
+def classify(field_: SolutionField, x: float, t: float) -> ZoneLabel:
+    """Zone label at (x, t): liquid when v - w exceeds the gap threshold
+    ``field_.zone_epsilon()``, frozen when the gap stays closed just above
+    t, boundary otherwise."""
     built: dict = {}
-    return field_._keep(built, _zone(field_, x, t, eps, built))
+    return field_._keep(built, _zone(field_, x, t, field_.zone_epsilon(), built))
 
 
 def _zone(
@@ -183,7 +177,6 @@ def _trace(
     b_lo, b_hi = field_._cell(x, t, start, not v_char, built)
     value = 0.5 * (b_lo + b_hi)
     zone0 = _zone(field_, x, t, eps, built, (not v_char, value))
-    flags = [(x, t, "boundary start")] if zone0 is ZoneLabel.BOUNDARY else []
     # the slices at the ends of the start's final cell, between which
     # certification puts the exact value; w is v of the mirrored problem,
     # whose slice below the value holds the label
@@ -206,8 +199,9 @@ def _trace(
         if outer.membership(x0, ts) and not inner.membership(x0, ts):
             return value
         return field_._invert(xs, ts, start, not v_char, built, value)
-    # backward traces on a segment end where the path meets the emitting feeder
-    feeder = sign * (dom.a1 if v_char else dom.a2) if dom.is_segment and not forward else None
+    # backward traces end where the path meets the emitting feeder (at
+    # -inf on the whole line, where a finite path never meets it)
+    feeder = sign * (dom.a1 if v_char else dom.a2) if not forward else None
     h = 1e-6 * dt  # "just after" a sample, for its zone
     samples, values, zones = [(x, t)], [value], [zone0]
     cur_t, sgn = t, (1.0 if forward else -1.0)
@@ -245,7 +239,7 @@ def _trace(
     if not forward:
         for seq in (samples, values, zones):
             seq.reverse()
-    return field_._keep(built, Curve(kind, samples, values, zones, termination, flags))
+    return field_._keep(built, Curve(kind, samples, values, zones, termination))
 
 
 def trace_backward_v(field_: SolutionField, x: float, t: float, dt: Optional[float] = None) -> Curve:

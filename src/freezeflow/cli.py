@@ -318,7 +318,7 @@ def cmd_examples(args) -> int:
     for name in sorted(FIXTURES):
         fx = FIXTURES[name]
         f = _make_field(fx.build(), 1e-9)
-        x = sum(fx.build().breakpoint_span()) / 2
+        x = sum(f.spec.breakpoint_span()) / 2
         v, w = f.eval_pair(x, fx.horizon / 2)
         ok = v >= w - 1e-6
         failures += 0 if ok else 1

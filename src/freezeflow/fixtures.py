@@ -63,9 +63,9 @@ def wedge_w_exact(x, t):
 # tip (2, 2 + sqrt(3/2)) where the two thawing branches meet with slopes -+2.
 
 
-def _parabolas(n: int = 2001) -> ProblemSpec:
-    v0 = PiecewiseLinear.from_callable(lambda x: x * x, -6.0, 10.0, n)
-    w0 = PiecewiseLinear.from_callable(lambda x: -((x - 4.0) ** 2) + 3.0, -6.0, 10.0, n)
+def _parabolas() -> ProblemSpec:
+    v0 = PiecewiseLinear.from_callable(lambda x: x * x, -6.0, 10.0, 2001)
+    w0 = PiecewiseLinear.from_callable(lambda x: -((x - 4.0) ** 2) + 3.0, -6.0, 10.0, 2001)
     return ProblemSpec(Domain.whole_line(), v0, w0)
 
 
@@ -84,8 +84,8 @@ PARABOLAS_TIP = (2.0, 2.0 + math.sqrt(1.5))
 # there are -inf (thawing) and 0 (freezing).
 
 
-def _ramp(n: int = 401) -> ProblemSpec:
-    xs = np.linspace(-1.0, 1.0, n)
+def _ramp() -> ProblemSpec:
+    xs = np.linspace(-1.0, 1.0, 401)
     w0 = PiecewiseLinear(xs, xs * xs, left_slope=1.0, right_slope=1.0)
     v0 = PiecewiseLinear([-1.0, 1.0], [1.0, 3.0], 1.0, 1.0)
     return ProblemSpec(Domain.whole_line(), v0, w0)

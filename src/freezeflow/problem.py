@@ -14,7 +14,6 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,36 +23,34 @@ from .intervals import merge_sorted
 INF = math.inf
 
 
-class DomainKind(Enum):
-    WHOLE_LINE = "whole_line"
-    SEGMENT = "segment"
-
-
 @dataclass(frozen=True)
 class Domain:
-    kind: DomainKind
+    """The whole line (-inf, inf), the default, or a segment with finite a1 < a2."""
+
     a1: float = -INF
     a2: float = INF
 
     def __post_init__(self):
-        if self.kind is DomainKind.SEGMENT:
-            if not (math.isfinite(self.a1) and math.isfinite(self.a2) and self.a1 < self.a2):
-                raise ValueError("segment domain requires finite a1 < a2")
+        if not (self.a1 == -INF and self.a2 == INF or -INF < self.a1 < self.a2 < INF):  # false for nan too
+            raise ValueError("a domain is the whole line or a segment with finite a1 < a2")
 
     @classmethod
     def whole_line(cls) -> "Domain":
-        return cls(DomainKind.WHOLE_LINE)
+        return cls()
 
     @classmethod
     def segment(cls, a1: float, a2: float) -> "Domain":
-        return cls(DomainKind.SEGMENT, float(a1), float(a2))
+        a1, a2 = float(a1), float(a2)
+        if not -INF < a1 < a2 < INF:
+            raise ValueError("segment domain requires finite a1 < a2")
+        return cls(a1, a2)
 
     @property
     def is_segment(self) -> bool:
-        return self.kind is DomainKind.SEGMENT
+        return self.a1 > -INF
 
     def contains(self, x: float) -> bool:
-        return not self.is_segment or self.a1 <= x <= self.a2
+        return self.a1 <= x <= self.a2
 
 
 class PiecewiseLinear:
@@ -105,16 +102,9 @@ class PiecewiseLinear:
         return cls((0.0,), (intercept,), slope, slope)
 
     @classmethod
-    def from_callable(
-        cls,
-        f: Callable[[np.ndarray], np.ndarray],
-        lo: float,
-        hi: float,
-        n: int,
-        left_slope: Optional[float] = None,
-        right_slope: Optional[float] = None,
-    ) -> "PiecewiseLinear":
-        """PL sampler on a uniform grid of ``n`` breakpoints over [lo, hi].
+    def from_callable(cls, f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int) -> "PiecewiseLinear":
+        """PL sampler on a uniform grid of ``n`` breakpoints over [lo, hi],
+        extended beyond it by the slopes of its end segments.
 
         For data that is merely continuous the solution error is bounded by
         the sup-norm sampling error (the solution map is 1-Lipschitz), so the
@@ -122,11 +112,7 @@ class PiecewiseLinear:
         """
         xs = np.linspace(lo, hi, n)
         ys = np.asarray(f(xs), dtype=float)
-        if left_slope is None:
-            left_slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-        if right_slope is None:
-            right_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        return cls(xs, ys, left_slope, right_slope)
+        return cls(xs, ys, (ys[1] - ys[0]) / (xs[1] - xs[0]), (ys[-1] - ys[-2]) / (xs[-1] - xs[-2]))
 
     # -- evaluation ------------------------------------------------------
 
@@ -491,7 +477,7 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     # remain total, so flats are a warning rather than a hard error
     for f, name in ((spec.v0, "v0"), (spec.w0, "w0")):
         for s0, s1 in f.flat_segments():
-            if spec.domain.is_segment and (s1 < spec.domain.a1 or s0 > spec.domain.a2):
+            if s1 < spec.domain.a1 or s0 > spec.domain.a2:
                 continue
             issues.append(ValidationIssue("flat_segment", f"{name} flat on [{s0:g}, {s1:g}]", s0))
     return ValidationReport(tuple(issues))
@@ -582,7 +568,7 @@ def _pl_from_json(obj: dict, whole_line: bool) -> PiecewiseLinear:
 
 
 def spec_to_json(spec: ProblemSpec) -> dict:
-    dom: dict = {"kind": spec.domain.kind.value}
+    dom: dict = {"kind": "segment" if spec.domain.is_segment else "whole_line"}
     if spec.domain.is_segment:
         dom["a1"] = spec.domain.a1
         dom["a2"] = spec.domain.a2
@@ -591,13 +577,14 @@ def spec_to_json(spec: ProblemSpec) -> dict:
 
 def spec_from_json(obj: dict) -> ProblemSpec:
     dom = obj["domain"]
-    kind = DomainKind(dom["kind"])
-    if kind is DomainKind.SEGMENT:
+    if dom["kind"] == "segment":
         _reject_booleans(dom["a1"], dom["a2"])
-    domain = (
-        Domain.segment(dom["a1"], dom["a2"]) if kind is DomainKind.SEGMENT else Domain.whole_line()
-    )
-    whole_line = kind is DomainKind.WHOLE_LINE
+        domain = Domain.segment(dom["a1"], dom["a2"])
+    elif dom["kind"] == "whole_line":
+        domain = Domain.whole_line()
+    else:
+        raise ValueError(f"domain kind must be 'whole_line' or 'segment', got {dom['kind']!r}")
+    whole_line = not domain.is_segment
     if obj.get("mu_sigma"):
         ms = MuSigmaPair(_pl_from_json(obj["mu"], whole_line), _pl_from_json(obj["sigma"], whole_line))
         v0, w0 = to_vw(ms)

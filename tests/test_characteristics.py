@@ -139,7 +139,7 @@ class TestForward:
         c = trace_forward_v(wedge_field, 0.0, 0.0, t_end=1.0)
         assert c.termination == "no value-preserving continuation"
         assert c.samples[-1][1] < 0.05
-        assert any("boundary start" in f[2] for f in c.flags)
+        assert c.zones[0] is ZoneLabel.BOUNDARY
 
     def test_w_through_frozen_band(self, wedge_field):
         # w-characteristic of value 2/3 from inside the band: vertical until

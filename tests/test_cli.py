@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import freezeflow
+from freezeflow import spec_from_json, spec_to_json
 from freezeflow.cli import build_parser, main
 
 
@@ -322,17 +323,24 @@ SEG = {"breakpoints": [0.0], "values": [0.0]}
         {"domain": {"kind": "segment", "a1": True, "a2": 2.0}, "v0": SEG, "w0": SEG},
         {"domain": {"kind": "segment", "a1": 0.0, "a2": 2.0}, "v0": {**SEG, "values": [False]}, "w0": SEG},
         {"domain": {"kind": "whole_line"}, "v0": {**LINE, "right_slope": True}, "w0": LINE},
+        # a segment's ends must be finite, even where they span the whole line
+        {"domain": {"kind": "segment", "a1": -math.inf, "a2": math.inf}, "v0": LINE, "w0": LINE},
+        {"domain": {"kind": "segment", "a1": 0.0, "a2": math.inf}, "v0": SEG, "w0": SEG},
+        {"domain": {"kind": "ring"}, "v0": LINE, "w0": LINE},
+        {"domain": {"kind": 1}, "v0": LINE, "w0": LINE},
     ],
     ids=[
         "int-breakpoints", "top-level-list", "nan-slope", "infinite-slope", "whole-line-without-slopes",
-        "boolean-domain-end", "boolean-value", "boolean-slope",
+        "boolean-domain-end", "boolean-value", "boolean-slope", "segment-with-infinite-ends",
+        "segment-with-one-infinite-end", "unknown-domain-kind", "numeric-domain-kind",
     ],
 )
 def test_malformed_problem_exit_2(tmp_path, capsys, obj):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(obj))
     assert run_cli(["solve", "--problem", str(path), "--grid", "3,3", "--window", "0,1,0,1"]) == 2
-    assert "invalid problem file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "invalid problem file" in err, err
 
 
 @pytest.mark.parametrize("peak", [1e154, 1e200])
@@ -589,11 +597,20 @@ def test_flat_segment_warns_on_stderr(tmp_path, capsys):
     assert json.loads(out.read_text())["warnings"] == ["v0 flat on [1, 2]"]
 
 
-def test_readme_cli_examples_parse():
+def test_readme_cli_examples_parse(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("freezeflow ")]
     assert len(commands) >= 7
     parser = build_parser()
-    for argv in commands:
+    for i, argv in enumerate(commands):
         parser.parse_args(argv)  # exits 2 on a stale flag
+        if "--out" in argv:
+            argv = argv[: argv.index("--out")] + argv[argv.index("--out") + 2 :]
+        assert run_cli(argv + ["--out", str(tmp_path / f"out{i}")]) == 0, argv
+    # the JSON problem example round-trips unchanged and solves
+    problem = json.loads(readme.split("```json", 1)[1].split("```", 1)[0])
+    assert spec_to_json(spec_from_json(problem)) == problem
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert run_cli(["solve", "--problem", str(path), "--out", str(tmp_path / "grid.csv")]) == 0

@@ -17,6 +17,7 @@ from freezeflow import (
     to_vw,
     validate,
 )
+from freezeflow.fixtures import wedge_v_exact
 
 PL = PiecewiseLinear
 
@@ -156,6 +157,31 @@ class TestPiecewiseLinear:
     def test_sampler(self):
         f = PL.from_callable(lambda x: x * x, -2, 2, 401)
         assert abs(f(1.3) - 1.69) < 1e-4
+
+
+class TestDomain:
+    def test_the_ends_decide_the_domain(self, wedge_spec):
+        assert Domain(0.0, 1.0) == Domain.segment(0.0, 1.0) and Domain(0.0, 1.0).is_segment
+        assert Domain() == Domain.whole_line() and not Domain().is_segment
+        field = SolutionField(ProblemSpec(Domain(), wedge_spec.v0, wedge_spec.w0), tolerance=1e-12)
+        reference = SolutionField(wedge_spec, tolerance=1e-12)
+        for x, t in ((-3.0, 0.5), (0.5, 1.0), (4.0, 2.0)):
+            assert field.eval_pair(x, t) == reference.eval_pair(x, t)
+        assert abs(field.eval_v(-3.0, 0.5) - wedge_v_exact(-3.0, 0.5)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Domain(0.0, math.inf),
+            lambda: Domain(1.0, 0.0),
+            lambda: Domain(math.nan, 1.0),
+            lambda: Domain.segment(-math.inf, math.inf),
+        ],
+        ids=["one-infinite-end", "reversed-ends", "nan-end", "segment-over-the-whole-line"],
+    )
+    def test_other_ends_raise(self, make):
+        with pytest.raises(ValueError):
+            make()
 
 
 class TestValidate:
