@@ -133,14 +133,6 @@ class StepError(ValueError):
     """The time step is not finite and positive, or takes too many samples."""
 
 
-def check_step(dt: float, span: float):
-    """Raise StepError unless dt is finite and positive and covers span in at most MAX_SAMPLES steps."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise StepError(f"dt must be finite and positive, got {dt!r}")
-    if not span / dt <= MAX_SAMPLES:  # true for a nan span too
-        raise StepError(f"dt={dt!r} needs more than {MAX_SAMPLES} samples over a span of {span!r}")
-
-
 def _trace(
     field_: SolutionField,
     x: float,
@@ -165,7 +157,11 @@ def _trace(
             raise ValueError("backward tracing requires t > 0")
         t_end = 0.0
         dt = dt if dt is not None else 1e-3 * t
-    check_step(dt, (t_end - t) if forward else (t - t_end))
+    if not (math.isfinite(dt) and dt > 0):
+        raise StepError(f"dt must be finite and positive, got {dt!r}")
+    span = abs(t_end - t)
+    if not span / dt <= MAX_SAMPLES:  # true for a nan span too
+        raise StepError(f"dt={dt!r} needs more than {MAX_SAMPLES} samples over a span of {span!r}")
     spec = field_.spec
     dom = spec.domain
     eps = field_.zone_epsilon()  # 10x the scaled solver tolerance

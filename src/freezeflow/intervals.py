@@ -135,8 +135,6 @@ class IntervalUnion:
         if self.has_upper_tail() != other.has_upper_tail():
             return INF
         cuts = sorted(set(self.finite_endpoints()) | set(other.finite_endpoints()))
-        if not cuts:
-            return 0.0
         total = 0.0
         probes = []
         for k in range(len(cuts) - 1):

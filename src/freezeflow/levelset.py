@@ -865,10 +865,10 @@ class SolutionField:
         Inside it, an estimate of the answer picks the final cell [l, h] it
         falls in, and probing l and h certifies the whole path down to that
         cell.  The first estimate is ``guess``, by default the transport
-        value, exact at liquid points.  Later ones are secants on the probed
-        slices' residuals: through the two latest probes when both moved the
-        same end of the band (a missed cell's ends give the local slope),
-        else false position between a and z.  A step that does not
+        value, exact at liquid points.  Later ones are secants on the
+        residuals of the two latest probes' slices: a missed cell's ends give
+        the local slope, and two probes that moved different ends of the band
+        are a and z, so the secant is false position.  A step that does not
         halve the band is followed by one plain bisection probe.  Steering
         stops once the probes so far plus the plain steps still needed to
         close the band exceed plain bisection's depth by 14, so an
@@ -892,16 +892,10 @@ class SolutionField:
         if guess is None:
             guess = self.spec.w0(xn + t) if reflected else self.spec.v0(xn - t)
         a, z = lo, hi
-        probed = []  # [level, slice, residual or None] per probe, latest last
-        ia = iz = -1  # which probes set a and z (-1: still the bracket end)
+        n = 0  # probes so far
+        latest = []  # [level, slice, residual or None] of the two latest probes, older first
         depth = 0
         plain = False
-
-        def residual(i):
-            if probed[i][2] is None:
-                probed[i][2] = float(sign * probed[i][1].residual(x0, t))
-            return probed[i][2]
-
         while True:
             # walk bisection's path as far as the band decides it
             while depth < _MAX_BISECT and hi - lo > tol:
@@ -915,16 +909,16 @@ class SolutionField:
                 depth += 1
             else:
                 return lo, hi
-            n = len(probed)
             # the plain steps left never exceed plain depth, so the first 14
             # probes are always within the budget
             steer = not rounding and (n <= 14 or n + min(math.log2((z - a) / tol), _MAX_BISECT - depth) <= budget)
-            est = guess if steer and not probed else None
+            est = guess if steer and not n else None
             if 1 < n and steer and not plain:
-                # a secant through the two latest probes when both moved the
-                # same end, else through the probes at a and z
-                i, j = (n - 2, n - 1) if ia < n - 2 or iz < n - 2 else (ia, iz)
-                b1, g1, b2, g2 = probed[i][0], residual(i), probed[j][0], residual(j)
+                # a secant through the two latest probes
+                for probe in latest:
+                    if probe[2] is None:
+                        probe[2] = float(sign * probe[1].residual(x0, t))
+                (b1, _, g1), (b2, _, g2) = latest
                 if math.isfinite(g2 - g1) and (g2 - g1) * (b2 - b1) > 0:
                     est = b1 - g1 * (b2 - b1) / (g2 - g1)
             if est is not None and math.isfinite(est):
@@ -947,11 +941,9 @@ class SolutionField:
                 if not a < b < z:
                     continue
                 sl = self._level(b, built).slice(side)
-                probed.append([b, sl, None])
-                if sl.membership(x0, t) != reflected:
-                    z, iz = b, len(probed) - 1
-                else:
-                    a, ia = b, len(probed) - 1
+                n += 1
+                latest = [*latest[-1:], [b, sl, None]]
+                a, z = (a, b) if sl.membership(x0, t) != reflected else (b, z)
             if est is not None and a >= l and z <= h:
                 return l, h  # the band decides every midpoint down to [l, h]
             plain = est is not None and z - a > 0.5 * width

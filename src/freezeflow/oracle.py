@@ -11,7 +11,10 @@ Two deliberately different routes to the same objects:
   each step shifts v right and w left by one cell and projects any v < w
   violation to the midpoint value.
 
-Neither route shares code with the level-set formulas, which is the point.
+Neither route shares the level-set formulas for t > 0, which is the point.
+The simulation starts from the solver's ``levelset.extended_level_sets``:
+the t = 0 level intervals and, on a segment, the feeder tails, which
+``tests/test_set_assembly.py`` checks against a reference of its own.
 """
 
 from __future__ import annotations

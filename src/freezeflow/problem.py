@@ -110,6 +110,8 @@ class PiecewiseLinear:
         the sup-norm sampling error (the solution map is 1-Lipschitz), so the
         caller controls accuracy through ``n`` alone.
         """
+        if not n >= 2:
+            raise ValueError(f"from_callable needs n >= 2 breakpoints to read its end slopes, got n={n!r}")
         xs = np.linspace(lo, hi, n)
         ys = np.asarray(f(xs), dtype=float)
         return cls(xs, ys, (ys[1] - ys[0]) / (xs[1] - xs[0]), (ys[-1] - ys[-2]) / (xs[-1] - xs[-2]))

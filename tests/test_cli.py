@@ -123,8 +123,9 @@ def test_oracle_on_inverted_data_exit_0(tmp_path):
 # SHA-256 of output that README promises is byte-stable: solve on every
 # fixture and on the benchmark's two solve grids, one solve as JSON,
 # README's trace and oracle examples, boundary on two fixtures, a forward
-# trace on a segment and pinned-balls.  check is left out, as its numpy
-# reductions may round differently on another build.
+# trace on a segment, pinned-balls, and check on a segment and on sloped
+# and flat tails (check's numpy reductions may round differently on
+# another build, so its rows pin this one).
 STABLE_OUTPUTS = [
     ("solve --fixture wedge --grid 41,21", "13c7fa94092be542ad0bb47d1b2b5e43f64dd343a5c3f16e2485819bbb427756"),
     ("solve --fixture parabolas --grid 41,21", "c5e87b32824d8cb0385a572e1f15cd5d1d7e9813464cb372b947aa49c5b2e890"),
@@ -144,6 +145,9 @@ STABLE_OUTPUTS = [
     ("boundary --fixture ramp --grid 130,120 --window=-2.8,0.4,0,2.9", "445f79c45ffab289090a9494b0ec16412476d472f54dd8c9a49118229ecb935d"),
     ("pinned-balls --n 50 --steps 10000 --seed 3", "97b1e2b6630b8fcbce5ff6b78be620ddaec8fdfb294e6855083ecf8e39ac8b50"),
     ("trace --fixture seg-tent --kind w --direction forward --x 0.3 --t 0.2", "019adbcdf2aac1f6d8d875ea7151a5e6130b3ed71000404abe45cca1ea5e4cff"),
+    ("check --fixture seg-tent", "9e96cb08458884946755ae4d69d2d419eec791df117a141b485e933f126bd94d"),
+    ("check --fixture wedge", "c0854a666dfc02f9233bca1a5b22c1e85443ed3d6a698c03981deb9f54b2a91c"),
+    ("check --fixture uniform-gap", "8dc9716ee11e4e79c50c1875ae7b630ecd497cba39bb5ad53ee25d12df6a3e81"),
 ]
 
 

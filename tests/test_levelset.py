@@ -709,6 +709,35 @@ class TestInversion:
         V, W = field.eval_grid(np.linspace(-5.0, 5.0, 201), np.linspace(0.0, 2.0, 101))
         assert probes[-1] / (V.size + W.size) <= 0.1  # plain bisection takes 34
 
+    def test_point_queries_work_is_pinned(self, monkeypatch):
+        # the (v, w) pairs at 100 random points per fixture, at 1e-10: a
+        # change to the point path that costs probes or levels fails here
+        from freezeflow.levelset import _LevelSlice
+
+        counts = {"_cell": 0, "membership": 0, "__init__": 0}
+
+        def count(cls, name):
+            real = getattr(cls, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        for cls, name in ((SolutionField, "_cell"), (_LevelSlice, "membership"), (_LevelPair, "__init__")):
+            count(cls, name)
+        rng = np.random.default_rng(7)
+        for name in sorted(FIXTURES):
+            spec = get_fixture(name).build()
+            field = SolutionField(spec, tolerance=1e-10)
+            lo, hi = spec.breakpoint_span()
+            if not spec.domain.is_segment:
+                lo, hi = lo - 1.0, hi + 1.0
+            for _ in range(100):
+                field.eval_pair(float(rng.uniform(lo, hi)), float(rng.uniform(0.0, 2.0)))
+        assert counts == {"_cell": 1800, "membership": 6214, "__init__": 4874}
+
     def test_tiny_tolerance_stops_at_the_step_cap(self, wedge_spec):
         # h - l stops shrinking long before 1e-300; only the cap ends the walk
         field = SolutionField(wedge_spec, tolerance=1e-300)

@@ -158,6 +158,15 @@ class TestPiecewiseLinear:
         f = PL.from_callable(lambda x: x * x, -2, 2, 401)
         assert abs(f(1.3) - 1.69) < 1e-4
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_sampler_needs_two_breakpoints(self, n):
+        # the end slopes read two samples at each end; fewer raised IndexError
+        def f(x):
+            raise AssertionError("sampled before n was checked")
+
+        with pytest.raises(ValueError, match=f"n={n}"):
+            PL.from_callable(f, -2, 2, n)
+
 
 class TestDomain:
     def test_the_ends_decide_the_domain(self, wedge_spec):
