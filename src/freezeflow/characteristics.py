@@ -88,9 +88,9 @@ class Curve:
             return all(-1 - slope_tol <= s <= slope_tol for s in self.slopes())
         return True
 
-    def constant_slope_runs(self, merge_below: int = 3) -> int:
+    def constant_slope_runs(self) -> int:
         """Number of maximal constant-slope runs, ignoring runs shorter than
-        ``merge_below`` steps (grid jitter at zone transitions)."""
+        3 steps (grid jitter at zone transitions)."""
         rounded = [round(s) for s in self.slopes()]
         runs: List[Tuple[int, int]] = []
         for s in rounded:
@@ -98,7 +98,7 @@ class Curve:
                 runs[-1] = (s, runs[-1][1] + 1)
             else:
                 runs.append((s, 1))
-        return sum(1 for s, n in runs if n >= merge_below)
+        return sum(1 for s, n in runs if n >= 3)
 
 
 def classify(field_: SolutionField, x: float, t: float) -> ZoneLabel:

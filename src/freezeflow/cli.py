@@ -225,7 +225,6 @@ def cmd_trace(args) -> int:
 
 def cmd_check(args) -> int:
     spec = _load_problem(args)
-    field = _make_field(spec, args.tol)
     times = None
     if args.times:
         try:
@@ -234,6 +233,10 @@ def cmd_check(args) -> int:
             raise CliError(f"--times: not numeric: {args.times!r}", EXIT_BAD_CONFIG)
         if not all(0 <= t < math.inf for t in times):
             raise CliError("--times must be finite and nonnegative", EXIT_BAD_CONFIG)
+        cap = chars.MAX_SAMPLES // diag.QUADRATURE_N  # the momentum and energy grid has QUADRATURE_N points a time
+        if len(times) > cap:
+            raise CliError(f"--times takes at most {cap} times, got {len(times)}", EXIT_BAD_CONFIG)
+    field = _make_field(spec, args.tol)
     try:
         reports = diag.run_default_checks(field, seed=args.seed, times=times)
     except ValueError as exc:

@@ -20,6 +20,7 @@ from .levelset import SolutionField, _level_set, _LevelPair
 from .problem import Domain, PiecewiseLinear, ProblemSpec
 
 INF = math.inf
+QUADRATURE_N = 2048  # midpoint-rule cells of the momentum and energy integrals
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class CheckReport:
 
 
 def check_momentum_energy(
-    field: SolutionField, times: Sequence[float], quadrature_n: int = 2048
+    field: SolutionField, times: Sequence[float], quadrature_n: int = QUADRATURE_N
 ) -> Tuple[CheckReport, CheckReport]:
     """Composite-midpoint integrals of mu and mu^2 + sigma^2 over the segment.
 
@@ -263,13 +264,12 @@ def check_monotone_dependence(
     spec_b: ProblemSpec,
     sample_points: int = 200,
     seed: int = 0,
-    tolerance: float = 1e-10,
 ) -> CheckReport:
-    """Pointwise larger initial data yields pointwise larger solutions."""
+    """Pointwise larger initial data yields pointwise larger solutions, at tolerance 1e-10."""
     _assert_ordered(spec_a.v0, spec_b.v0, "v0")
     _assert_ordered(spec_a.w0, spec_b.w0, "w0")
-    fa = SolutionField(spec_a, tolerance=tolerance)
-    fb = SolutionField(spec_b, tolerance=tolerance)
+    fa = SolutionField(spec_a, tolerance=1e-10)
+    fb = SolutionField(spec_b, tolerance=1e-10)
     lo, hi = spec_a.breakpoint_span()
     pad = 0.0 if spec_a.domain.is_segment else 1.0
     points = _points(sample_points, seed, lo - pad, hi + pad, hi - lo + 1.0)

@@ -63,7 +63,7 @@ class PiecewiseLinear:
     Instances are immutable; all operations return new objects.
     """
 
-    __slots__ = ("xs", "ys", "left_slope", "right_slope", "_xs_arr", "_ys_arr", "_runs", "_neg_ys")
+    __slots__ = ("xs", "ys", "left_slope", "right_slope", "_runs", "_neg_ys")
 
     def __init__(
         self,
@@ -86,8 +86,6 @@ class PiecewiseLinear:
             raise ValueError("breakpoints, values and slopes must be finite")
         self.xs = xs
         self.ys = ys
-        self._xs_arr: Optional[np.ndarray] = None
-        self._ys_arr: Optional[np.ndarray] = None
         self._runs: Optional[Tuple[Tuple[int, int, bool], ...]] = None
         self._neg_ys: Tuple[float, ...] = ()
 
@@ -118,15 +116,10 @@ class PiecewiseLinear:
 
     # -- evaluation ------------------------------------------------------
 
-    def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._xs_arr is None:
-            self._xs_arr = np.asarray(self.xs)
-            self._ys_arr = np.asarray(self.ys)
-        return self._xs_arr, self._ys_arr
-
     def __call__(self, x):
+        """f(x); an array is evaluated element by element by the same rule."""
         if isinstance(x, np.ndarray):
-            return self._eval_array(x)
+            return np.array([self(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
         x = float(x)
         if math.isnan(x):
             raise ValueError(f"cannot evaluate at x={x!r}")
@@ -145,19 +138,6 @@ class PiecewiseLinear:
         y0, y1 = ys[i], ys[i + 1]
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
-    def _eval_array(self, x: np.ndarray) -> np.ndarray:
-        xs, ys = self._arrays()
-        out = np.interp(x, xs, ys)
-        if self.left_slope is not None:
-            mask = x < xs[0]
-            if mask.any():
-                out = np.where(mask, ys[0] + self.left_slope * (x - xs[0]), out)
-        if self.right_slope is not None:
-            mask = x > xs[-1]
-            if mask.any():
-                out = np.where(mask, ys[-1] + self.right_slope * (x - xs[-1]), out)
-        return out
-
     # -- structure -------------------------------------------------------
 
     @property
@@ -168,13 +148,12 @@ class PiecewiseLinear:
         xs, ys = self.xs, self.ys
         return [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
 
+    def _slopes(self) -> list[float]:
+        """The segment slopes, then the tail slopes that are set."""
+        return self.segment_slopes() + [s for s in (self.left_slope, self.right_slope) if s is not None]
+
     def max_abs_slope(self) -> float:
-        slopes = [abs(s) for s in self.segment_slopes()]
-        if self.left_slope is not None:
-            slopes.append(abs(self.left_slope))
-        if self.right_slope is not None:
-            slopes.append(abs(self.right_slope))
-        return max(slopes, default=0.0)
+        return max((abs(s) for s in self._slopes()), default=0.0)
 
     def flat_segments(self) -> list[Tuple[float, float]]:
         out = []
@@ -237,13 +216,7 @@ class PiecewiseLinear:
         return PiecewiseLinear(self.xs, tuple(y + c for y in self.ys), self.left_slope, self.right_slope)
 
     def is_strictly_increasing(self) -> bool:
-        if any(s <= 0 for s in self.segment_slopes()):
-            return False
-        if self.left_slope is not None and self.left_slope <= 0:
-            return False
-        if self.right_slope is not None and self.right_slope <= 0:
-            return False
-        return True
+        return all(s > 0 for s in self._slopes())
 
     def inverse(self) -> "PiecewiseLinear":
         """Inverse of a strictly increasing PL function (exact)."""
@@ -258,23 +231,11 @@ class PiecewiseLinear:
         slopes = inner.segment_slopes()
         if slopes and min(slopes) < 0 < max(slopes):
             raise ValueError("compose requires monotone inner function")
+        # pull back self's breakpoints: each point where inner crosses bp,
+        # on its tails too, is a finite end of {inner <= bp}
         grid = set(inner.xs)
-        # pull back self's breakpoints through each linear piece of inner
-        pieces: list[Tuple[float, float, float, float]] = []
-        for i in range(inner.n - 1):
-            pieces.append((inner.xs[i], inner.xs[i + 1], inner.ys[i], inner.ys[i + 1]))
         for bp in self.xs:
-            for x0, x1, y0, y1 in pieces:
-                if (y0 - bp) * (y1 - bp) < 0:
-                    grid.add(x0 + (bp - y0) * (x1 - x0) / (y1 - y0))
-            if inner.left_slope not in (None, 0.0):
-                t = inner.xs[0] + (bp - inner.ys[0]) / inner.left_slope
-                if t < inner.xs[0]:
-                    grid.add(t)
-            if inner.right_slope not in (None, 0.0):
-                t = inner.xs[-1] + (bp - inner.ys[-1]) / inner.right_slope
-                if t > inner.xs[-1]:
-                    grid.add(t)
+            grid.update(e for ends in inner.sublevel_intervals(bp) for e in ends if -INF < e < INF)
         xs = sorted(grid)
         ys = [self._eval_scalar(inner._eval_scalar(x)) for x in xs]
 
@@ -519,12 +480,7 @@ def initial_from_terminal(T: PiecewiseLinear, f: PiecewiseLinear) -> ProblemSpec
     """
     if min(T.ys) < 0:
         raise ValueError("T must be nonnegative")
-    slopes = T.segment_slopes()
-    if T.left_slope is not None:
-        slopes = slopes + [T.left_slope]
-    if T.right_slope is not None:
-        slopes = slopes + [T.right_slope]
-    if any(abs(s) >= 1.0 for s in slopes):
+    if any(abs(s) >= 1.0 for s in T._slopes()):
         raise ValueError("T must have all slopes strictly inside (-1, 1)")
     if not f.is_strictly_increasing():
         raise ValueError("f must be strictly increasing")

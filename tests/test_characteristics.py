@@ -163,6 +163,13 @@ class TestForward:
         assert len(tracer(wedge_field, 1.0, 1.0, t_end=1.0).samples) == 1
 
 
+@pytest.mark.parametrize("kind", [characteristics.CurveKind.FREEZING, characteristics.CurveKind.THAWING])
+def test_boundary_curve_slopes_are_dt_over_dx(kind):
+    curve = characteristics.Curve(kind, [(0.0, 0.0), (2.0, 1.0), (2.0, 3.0), (3.0, 2.0)])
+    assert curve.slopes() == [0.5, math.inf, -1.0]
+    assert curve.is_subsonic()
+
+
 class TestRunsBound:
     def test_at_most_three_runs_on_fixtures(self, wedge_field, frozen_ramp_field):
         for field, pts in (

@@ -530,6 +530,11 @@ TRACE_V = ["trace", "--fixture", "wedge", "--kind", "v", "--x", "1"]
         ["check", "--fixture", "wedge", "--times", "1e308"],
         # a window whose width overflows printed numpy warnings and exited 3
         ["solve", "--fixture", "wedge", "--grid", "3,3", "--window=-1e308,1e308,0,1"],
+        ["solve", "--grid", "3,3"],
+        ["solve", "--fixture", "wedge", "--grid", "3,3", "--window=0,1,0"],
+        ["solve", "--fixture", "wedge", "--grid", "3,3", "--window=a,1,0,1"],
+        ["boundary", "--fixture", "wedge"],
+        ["check", "--fixture", "seg-tent", "--times", "0,a"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -537,6 +542,27 @@ def test_bad_arguments_exit_2(capsys, argv):
     assert exit_code(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error:" in err
+
+
+def test_boundary_window_outside_the_segment_exit_3(capsys):
+    assert exit_code(["boundary", "--fixture", "seg-tent", "--window=-1,2,0,1"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error:" in err
+
+
+def test_check_caps_its_times(capsys, monkeypatch):
+    # each time adds a row of QUADRATURE_N points to the momentum and energy
+    # grid, so memory grew with every time given; the cap keeps that grid
+    # within MAX_SAMPLES points
+    cap = freezeflow.characteristics.MAX_SAMPLES // freezeflow.diagnostics.QUADRATURE_N
+    assert cap == 488
+    monkeypatch.setattr(freezeflow.diagnostics, "run_default_checks", lambda *args, **kwargs: [])
+    assert exit_code(["check", "--fixture", "seg-tent", "--times", ",".join(["1"] * cap)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(freezeflow.cli, "_make_field", lambda *args: pytest.fail("built a field"))
+    assert exit_code(["check", "--fixture", "seg-tent", "--times", ",".join(["1"] * (cap + 1))]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--times takes at most 488 times, got 489" in err
 
 
 @pytest.mark.parametrize("grid", ["40,40", "120,120"])

@@ -37,6 +37,17 @@ def test_symmetric_difference():
     assert a.symmetric_difference_measure(a) == 0.0
     c = IntervalUnion([(0, INF)])
     assert a.symmetric_difference_measure(c) == INF
+    # only the upper tails differ
+    d = IntervalUnion([(-INF, 0), (1, INF)])
+    assert d.symmetric_difference_measure(IntervalUnion([(-INF, 0), (1, 5)])) == INF
+
+
+def test_value_semantics():
+    a = IntervalUnion([(0, 1), (1, 2), (3, INF)])
+    b = IntervalUnion([(3, INF), (0, 2)])
+    assert a == b and hash(a) == hash(b) and len(a) == 2
+    assert a != a.intervals and a != IntervalUnion([(0, 2)])
+    assert repr(a) == "IntervalUnion([0, 2], [3, inf])"
 
 
 def test_reflect_translate_contains():

@@ -1,7 +1,9 @@
 """No leftovers in the package: every name a module imports is used in it,
-and every private module-level name and private method is read somewhere in
-``src/`` outside its own definition.  A deletion that strands an import or a
-helper fails here.  Reads the source with ``ast`` alone.
+every private module-level name and private method is read somewhere in
+``src/`` outside its own definition, and every public module-level function,
+class and method somewhere in ``src/``, ``tests/`` or ``benchmarks/``.  A
+deletion that strands an import or a helper fails here.  Reads the source
+with ``ast`` alone.
 """
 
 import ast
@@ -10,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 TREES = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))}
+USERS = [ast.parse(path.read_text(), filename=str(path)) for d in ("tests", "benchmarks") for path in sorted((ROOT / d).rglob("*.py"))]
 MODULES = [path for path in TREES if path.parent.name == "freezeflow" and path.name != "__init__.py"]
 
 
@@ -27,6 +31,7 @@ def _loads(node) -> Counter:
 
 
 READS = sum((_loads(tree) for tree in TREES.values()), Counter())
+ALL_READS = READS + sum((_loads(tree) for tree in USERS), Counter())
 
 
 def _private(name: str) -> bool:
@@ -50,6 +55,20 @@ def _private_definitions(tree):
                     yield target.id, target.id, node
 
 
+def _public_definitions(tree):
+    """(label, name, node) of each public module-level def or class and each public method of a public class.
+
+    A private class's methods are left out: ``cli._Parser.error`` overrides
+    argparse's, which argparse calls."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.name, item
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_every_import_is_used(path):
     tree = TREES[path]
@@ -68,4 +87,10 @@ def test_every_import_is_used(path):
 def test_every_private_name_has_a_reader(path):
     # names are matched alone: a method is read as an attribute of anything
     unread = [label for label, name, node in _private_definitions(TREES[path]) if READS[name] == _loads(node)[name]]
+    assert not unread, unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_public_name_has_a_reader(path):
+    unread = [label for label, name, node in _public_definitions(TREES[path]) if ALL_READS[name] == _loads(node)[name]]
     assert not unread, unread

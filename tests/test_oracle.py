@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from freezeflow import (
     AnnihilationState,
@@ -55,6 +56,14 @@ class TestAnnihilateStep:
         assert s1.blue.intervals == ((-INF, 0),)
         assert s1.red.intervals == ((0, INF),)
         assert s1.eroded_blue == s1.eroded_red == 7.0
+
+    def test_negative_step_raises(self):
+        with pytest.raises(ValueError, match="dt"):
+            annihilate_step(AnnihilationState(IntervalUnion([(0.0, 1.0)]), IntervalUnion()), -0.1)
+
+    def test_zero_length_interval_is_dropped(self):
+        state = AnnihilationState(IntervalUnion([(0.0, 0.0), (2.0, 3.0)]), IntervalUnion())
+        assert annihilate_step(state, 0.5).blue.intervals == ((2.5, 3.5),)
 
     def test_equal_rate_invariant_random(self, rng):
         # erosion totals agree exactly whatever the configuration
@@ -120,6 +129,17 @@ class TestGridScheme:
         xs, v, w = grid_scheme(spec, 1 / 32, 1.0)
         assert np.allclose(v, xs, atol=1e-12)
         assert np.allclose(w, xs, atol=1e-12)
+
+    def test_bad_step_raises(self, wedge_spec):
+        for dx in (0.0, -0.5):
+            with pytest.raises(ValueError, match="dx"):
+                grid_scheme(wedge_spec, dx, 1.0)
+
+    def test_default_window_pads_the_span(self):
+        f = PL([0.0, 1.0], [0.0, 1.0], 1.0, 1.0)
+        xs, v, w = grid_scheme(ProblemSpec(Domain.whole_line(), f, f), 0.25, 0.5)
+        # the span [0, 1] widened by t_end + 2 dx on each side
+        assert xs.tolist() == np.linspace(-1.0, 2.0, 13).tolist() and v.shape == w.shape == (13,)
 
     def test_pure_transport(self):
         v0 = PL([0.0], [10.0], -1.0, 1.0)

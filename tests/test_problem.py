@@ -17,7 +17,8 @@ from freezeflow import (
     to_vw,
     validate,
 )
-from freezeflow.fixtures import wedge_v_exact
+from freezeflow.diagnostics import random_pl_spec
+from freezeflow.fixtures import FIXTURES, get_fixture, wedge_v_exact
 
 PL = PiecewiseLinear
 
@@ -45,6 +46,10 @@ class TestPiecewiseLinear:
     def test_validation(self):
         with pytest.raises(ValueError):
             PL([1.0, 1.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="nonempty"):
+            PL([], [])
+        with pytest.raises(ValueError, match="equal-length"):
+            PL([0.0, 1.0], [0.0])
         with pytest.raises(ValueError):
             PL([0.0], [math.nan])
 
@@ -154,6 +159,70 @@ class TestPiecewiseLinear:
         for x in np.linspace(-3, 6, 41):
             assert abs(comp(x) - abs(x - 2.0)) < 1e-12
 
+    def test_array_evaluation_is_the_scalar_rule(self):
+        # an np.interp path for arrays differed from the scalar rule on 12,917
+        # of these evaluations, by up to 7.1e-15
+        specs = [get_fixture(name).build() for name in sorted(FIXTURES)]
+        rng = np.random.default_rng(11)
+        specs += [random_pl_spec(rng) for _ in range(40)]
+        for spec in specs:
+            for f in (spec.v0, spec.w0):
+                xs = np.concatenate([np.linspace(f.xs[0] - 3, f.xs[-1] + 3, 2001), f.xs])
+                scalar = np.array([f(x) for x in xs.tolist()])
+                assert np.array_equal(f(xs).view(np.int64), scalar.view(np.int64))
+                assert np.array_equal(f(xs.reshape(-1, 1)).ravel(), scalar)
+        with pytest.raises(ValueError, match="nan"):
+            specs[0].v0(np.array([0.0, math.nan]))
+
+    @pytest.mark.parametrize("left, right, rising", [(1.0, 2.0, True), (0.0, 1.0, False), (1.0, -1.0, False), (None, None, True)])
+    def test_tail_slopes_decide_strict_increase(self, left, right, rising):
+        assert PL([0.0, 1.0], [0.0, 1.0], left, right).is_strictly_increasing() is rising
+
+    def test_non_monotone_functions_are_refused(self):
+        vee = PL([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], -1.0, 1.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            vee.inverse()
+        with pytest.raises(ValueError, match="monotone"):
+            PL.linear(1.0).compose(vee)
+
+    def test_compose_pulls_back_onto_the_tails(self):
+        outer = PL([-5.0, 0.5, 5.0], [1.0, 0.0, 2.0], 0.0, 0.0)
+        inner = PL([0.0, 1.0], [0.0, 1.0], 2.0, 0.5)
+        comp = outer.compose(inner)
+        assert comp.xs == (-2.5, 0.0, 0.5, 1.0, 9.0)
+        for x in (-4.0, -2.5, 0.25, 3.0, 9.0, 12.0):
+            assert abs(comp(x) - outer(inner(x))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "inner_slope, outer_tails, composed",
+        [(None, (1.0, 2.0), None), (0.0, (1.0, 2.0), 0.0), (1.0, (None, 2.0), None), (1.0, (3.0, 2.0), 3.0), (-1.0, (3.0, 2.0), -2.0)],
+    )
+    def test_compose_tail_slopes(self, inner_slope, outer_tails, composed):
+        # the left tail of outer(inner(x)): inner heads down for a rising
+        # inner and up for a falling one
+        inner = PL([0.0, 1.0], [0.0, 1.0] if inner_slope != -1.0 else [1.0, 0.0], inner_slope, inner_slope)
+        outer = PL([0.0, 1.0], [0.0, 1.0], *outer_tails)
+        assert outer.compose(inner).left_slope == composed
+
+    def test_compose_is_one_crossing_rule(self):
+        # each pulled-back breakpoint is an end of an inner level interval
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            xs = np.cumsum(rng.uniform(0.1, 2.0, n)) - 3.0
+            steps = rng.uniform(0.0, 2.0, n) * (rng.random(n) > 0.2)  # some flats
+            sign = rng.choice([-1.0, 1.0])
+            ys = sign * (np.cumsum(steps) - 2.0)
+            tails = [None if r < 0.25 else (0.0 if r < 0.35 else sign * rng.uniform(0.1, 3.0)) for r in rng.random(2)]
+            inner = PL(xs, ys, *tails)
+            oxs = np.unique(np.concatenate([rng.uniform(-4.0, 4.0, int(rng.integers(1, 6))), rng.choice(ys, 1)]))
+            outer = PL(oxs, rng.uniform(-3.0, 3.0, len(oxs)), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+            comp = outer.compose(inner)
+            ends = {e for bp in outer.xs for ivl in inner.sublevel_intervals(bp) for e in ivl if math.isfinite(e)}
+            assert set(comp.xs) <= set(inner.xs) | ends
+            for x in np.linspace(comp.xs[0] - 5.0, comp.xs[-1] + 5.0, 101).tolist() + list(comp.xs):
+                assert abs(comp(x) - outer(inner(x))) < 1e-12, (x, inner.xs, inner.ys, outer.xs)
+
     def test_sampler(self):
         f = PL.from_callable(lambda x: x * x, -2, 2, 401)
         assert abs(f(1.3) - 1.69) < 1e-4
@@ -230,6 +299,18 @@ class TestValidate:
         assert all(i.code == "flat_segment" for i in rep.issues)
         assert not rep.errors()
         SolutionField(spec)  # flats are processable
+
+    def test_flat_segment_outside_the_segment_is_not_flagged(self):
+        v0 = PL([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 2.0])
+        w0 = PL([0.0, 1.0], [0.0, 1.0])
+        assert validate(ProblemSpec(Domain.segment(0, 1), v0, w0)).admissible
+        reaching = validate(ProblemSpec(Domain.segment(0, 2.5), v0, PL([0.0, 2.5], [0.0, 2.0])))
+        assert [(i.code, i.location) for i in reaching.issues] == [("flat_segment", 2.0)]
+
+    def test_repr(self):
+        f = PL([0.0, 1.0], [0.0, 2.0], 0.5, 0.5)
+        assert repr(ProblemSpec(Domain.segment(0, 1), f, f)) == "ProblemSpec(segment, 2+2 breakpoints, lam=2)"
+        assert repr(ProblemSpec(Domain.whole_line(), f, PL.constant(0.0))) == "ProblemSpec(whole_line, 2+1 breakpoints, lam=2)"
 
     def test_lipschitz_constant_exact(self, wedge_spec):
         assert wedge_spec.lipschitz == 1.0
