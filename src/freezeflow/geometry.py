@@ -1,9 +1,9 @@
 """Freezing and thawing curves of the frozen zone, their corners and slopes.
 
-At level b each piece of a level-set component is a vertical frozen segment
-(``levelset._LevelPair.frozen``): where the v and w fronts of the level
-stand at one x, v = w = b from the later of their first times to the first
-thaw.  One sweep
+At level b, where a piece of the v slice and a piece of the w slice stand
+at one x, v = w = b from the later of their first times to the first thaw:
+a vertical frozen segment (``_segments``, built once per level of the
+sweep from the pieces ``levelset`` stores).  One sweep
 in b (``SolutionField._sweep``) leaves cells in which each segment's x and
 times are affine in b, so the freezing curves (the lower ends) and thawing
 curves (the upper ends) are exact polylines; a stack of segments at one x,
@@ -17,9 +17,10 @@ exact pieces next to the corner.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, pairwise
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -72,15 +73,36 @@ class BoundarySet:
     warnings: List[str] = field(default_factory=list)  # the field's validation warnings (flat segments)
 
 
-def _ends(seg):
-    """The lower and the upper end of a frozen segment from ``_LevelPair.frozen``."""
-    return (seg[0], max(seg[1])), (seg[0], min(seg[2]))
-
-
 def _frozen_for(lower, upper) -> float:
     """How long a segment is frozen, less the length that is only rounding:
     where two families of segments meet at one x, their pieces pair across."""
     return upper[1] - lower[1] - 0.5 * _TINY * (1.0 + abs(lower[0]) + abs(lower[1]))
+
+
+def _segments(level) -> list:
+    """The frozen segments of one level, in the v slice's order: where a v
+    piece and a w piece stand at one x, within ``_TINY``, v = w = b from the
+    later of their ``first`` times to the earliest of their ``last`` times
+    and deaths (``stand`` - p).  Returns (x, firsts, ends, key, (lower,
+    upper), frozen) per pair: firsts = (v first, w first), ends = (v last,
+    v death, w last, w death), key the (component, piece) indices of the v
+    and then the w piece, the segment's two ends as points (x, t) and its
+    ``_frozen_for``, negative where the times do not overlap."""
+    w = sorted(
+        (-x, first, (last, x - p), (k, i))
+        for k, (p, _, pieces, _) in enumerate(level.slice(1).components)
+        for i, (first, _, last, x) in enumerate(pieces)
+    )
+    w_xs = [s[0] for s in w]
+    out = []
+    for k, (p, _, pieces, _) in enumerate(level.slice(0).components):
+        for i, (first, _, last, x) in enumerate(pieces):
+            tiny = _TINY * (1.0 + abs(x))
+            for j in range(bisect_left(w_xs, x - tiny), bisect_right(w_xs, x + tiny)):
+                firsts, ends = (first, w[j][1]), (last, x - p, *w[j][2])
+                lower, upper = (x, max(firsts)), (x, min(ends))
+                out.append((x, firsts, ends, (k, i) + w[j][3], (lower, upper), _frozen_for(lower, upper)))
+    return out
 
 
 def _cell_points(a, c):
@@ -90,7 +112,7 @@ def _cell_points(a, c):
     crossings, and the segment is exact between the returned (x, first, last,
     frozen for) points: lam = 0, those crossings, the roots of
     ``_frozen_for`` and lam = 1."""
-    (xa, fa, ea, _), (xc, fc, ec, _) = a, c
+    (xa, fa, ea, *_), (xc, fc, ec, *_) = a, c
     thaws = [(u, v) for u, v in zip(ea, ec) if math.isfinite(u) and math.isfinite(v)]
     lams = [0.0, 1.0] + [
         (u0 - v0) / ((u0 - v0) - (u1 - v1))
@@ -105,10 +127,11 @@ def _cell_points(a, c):
         last = min(((1.0 - lam) * u + lam * v for u, v in thaws), default=math.inf)
         return x, first, last, _frozen_for((x, first), (x, last))
 
-    lams.sort()
-    gs = [at(lam)[3] for lam in lams]
-    roots = {l0 + (l1 - l0) * g0 / (g0 - g1) for l0, l1, g0, g1 in zip(lams, lams[1:], gs, gs[1:]) if min(g0, g1) < 0.0 < max(g0, g1)}
-    return [at(lam)[:3] + (0.0 if lam in roots else at(lam)[3],) for lam in sorted(set(lams) | roots)]
+    pts = {lam: at(lam) for lam in sorted(lams)}
+    roots = {l0 + (l1 - l0) * g0 / (g0 - g1) for (l0, (*_, g0)), (l1, (*_, g1)) in pairwise(pts.items()) if min(g0, g1) < 0.0 < max(g0, g1)}
+    for lam in roots:  # frozen for exactly 0 there
+        pts[lam] = (pts[lam] if lam in pts else at(lam))[:3] + (0.0,)
+    return [pts[lam] for lam in sorted(pts)]
 
 
 def _near(p, q, rel=_TINY) -> bool:
@@ -140,9 +163,10 @@ def _tracks(levels, affine):
     def stop(seg_id, cur):
         ends.extend((track[-1], thawing, track, False, seg_id) for thawing, track in enumerate(cur) if track)
 
-    live = {i: start((0, i), _ends(seg)) for i, seg in enumerate(levels[0].frozen()) if _frozen_for(*_ends(seg)) > 0.0}
+    lower = _segments(levels[0])
+    live = {i: start((0, i), seg[4]) for i, seg in enumerate(lower) if seg[5] > 0.0}
     for k, same in enumerate(affine):
-        lower, upper = levels[k].frozen(), levels[k + 1].frozen()
+        upper = _segments(levels[k + 1])
         ahead: dict = {}
         if same:
             index = {seg[3]: j for j, seg in enumerate(upper)}
@@ -164,11 +188,11 @@ def _tracks(levels, affine):
                 elif cur:
                     stop((k, i, 0), cur)
             paired = {seg[3] for seg in lower}
-            ahead.update((j, start((k + 1, j), _ends(seg))) for j, seg in enumerate(upper) if seg[3] not in paired and _frozen_for(*_ends(seg)) > 0.0)
+            ahead.update((j, start((k + 1, j), seg[4])) for j, seg in enumerate(upper) if seg[3] not in paired and seg[5] > 0.0)
         else:
             for thawing in (0, 1):
                 behind = {i: cur[thawing] for i, cur in live.items() if cur[thawing]}
-                front = {j: _ends(seg)[thawing] for j, seg in enumerate(upper) if _frozen_for(*_ends(seg)) > 0.0}
+                front = {j: seg[4][thawing] for j, seg in enumerate(upper) if seg[5] > 0.0}
                 pairs = sorted(
                     (math.dist(tr[-1], pt), i, j) for i, tr in behind.items() for j, pt in front.items() if _near(tr[-1], pt)
                 )
@@ -184,7 +208,7 @@ def _tracks(levels, affine):
                 for j, pt in front.items():
                     if j not in moved.values():
                         ahead.setdefault(j, [None, None])[thawing] = start((k + 1, j), (None, pt) if thawing else (pt, None))[thawing]
-        live = ahead
+        live, lower = ahead, upper
     for i, cur in live.items():
         stop((len(levels) - 1, i), cur)
     return tracks, ends

@@ -136,10 +136,8 @@ class IntervalUnion:
             return INF
         cuts = sorted(set(self.finite_endpoints()) | set(other.finite_endpoints()))
         total = 0.0
-        probes = []
-        for k in range(len(cuts) - 1):
-            probes.append(((cuts[k] + cuts[k + 1]) / 2.0, cuts[k + 1] - cuts[k]))
-        for x, width in probes:
+        for lo, hi in zip(cuts, cuts[1:]):
+            x = (lo + hi) / 2.0
             if self.contains(x) != other.contains(x):
-                total += width
+                total += hi - lo
         return total

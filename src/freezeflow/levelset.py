@@ -44,7 +44,7 @@ probe where a midpoint comes close to it.  One routine splits a bracket
 into such cells (``SolutionField._split``): for a grid, until each value
 lies in one or in a final cell, and for one sweep in b that follows the
 frozen segments, where a v front and a w front stand at one x, for the
-freezing and thawing curves.
+freezing and thawing curves (``geometry`` pairs the fronts into segments).
 
 Empty-set convention: if the running integral never goes negative the point
 is never annihilated, so alpha_v returns +inf (alpha_w returns -inf) and the
@@ -71,7 +71,6 @@ _SNAP = 1e-3  # grid values this many final cells from a midpoint probe it
 _ROUND = 1e-13  # relative rounding allowed for labels and thresholds in closed form
 _FEW = 16  # grid points whose membership at a level is probed one by one
 _CHUNK = 4096  # grid points solved in closed form together: bounds peak memory on grids of up to 10^6 points
-_MATCH = 1e-9  # relative distance within which a v piece and a w piece stand at one x
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +183,10 @@ class _LevelSlice:
     function of the starting point x is t_max(x) = (alpha(x) - x) / 2, a
     decreasing piecewise-linear function of x.  Its pieces are stored once
     per component (``_component_structure``) and read by ``_front``, by the
-    grid's ``table`` and by the frozen segments.  The left-moving superlevel
-    side reuses this via reflection.  ``codes`` holds the branch codes of
-    every component in turn, each followed by -1.
+    grid's ``table`` and by ``geometry._segments``, which pairs them into
+    frozen segments.  The left-moving superlevel side reuses this via
+    reflection.  ``codes`` holds the branch codes of every component in
+    turn, each followed by -1.
     """
 
     __slots__ = ("components", "comp_los", "codes", "_table")
@@ -261,15 +261,18 @@ class _LevelSlice:
 def _component_structure(nodes, kvals, p, q, codes):
     """(p, q, pieces, end) for one component [p, q] of the moving set.
 
-    With labels c = x - q, walking the integrand right of q gives
-    alpha(c) = y_base + (c_hi - c) on each piece c in (c_lo, c_hi], stored
-    as its readers use it, (first, wait, last, stand): the front waits at
-    label ``wait`` until t = ``first``, then retreats to ``stand`` - t until
-    t = ``last``, so moved by t it stands at x = ``stand``.  ``end`` is the
-    label q + c_end, at or below which none is annihilated, or None where the
-    component dies.  The list ``codes`` receives the outcome of the three
-    comparisons made in each descending region, which fix how the results
-    are formed from the nodes.
+    With labels c = x - q, walk the integral G of the integrand right of q.
+    Its running low ``mcur`` never exceeds its value ``gs`` (a descent sets
+    ``gs`` to its low c_lo and ``mcur`` to at most c_lo, an ascent only
+    raises ``gs``), so a descent adds a piece exactly when it sets a new
+    low: c in (c_lo, mcur], where alpha(c) = y_base + (mcur - c).  A piece
+    is stored as its readers use it, (first, wait, last, stand): the front
+    waits at label ``wait`` until t = ``first``, then retreats to
+    ``stand`` - t until t = ``last``, so moved by t it stands at x =
+    ``stand``.  ``end`` is the label q + c_end, at or below which none is
+    annihilated, or None where the component dies.  ``codes`` receives the
+    outcome of the two comparisons made in each descending region, which
+    fix how the results are formed from the nodes.
     """
     if q == INF:
         return (p, q, (), q)
@@ -285,24 +288,19 @@ def _component_structure(nodes, kvals, p, q, codes):
         length = seg_end - pos
         if k < 0:
             c_lo = gs - length  # -inf on an infinite descent
-            c_hi = mcur if mcur < gs else gs
-            codes.append((mcur < gs) + 2 * (c_hi > c_lo) + 4 * (c_lo < mcur))
-            if c_hi > c_lo:
-                y_base = pos + (gs - c_hi)
-                s = y_base + c_hi - q
-                pieces.append(((y_base - q - c_hi) * 0.5, q + c_hi, (s - 2.0 * c_lo) * 0.5, q + s * 0.5))
+            codes.append((mcur < gs) + 2 * (c_lo < mcur))
             if c_lo < mcur:
+                y_base = pos + (gs - mcur)
+                s = y_base + mcur - q
+                pieces.append(((y_base - q - mcur) * 0.5, q + mcur, (s - 2.0 * c_lo) * 0.5, q + s * 0.5))
                 mcur = c_lo
-            if mcur < c_floor or length == INF:
+            if mcur < c_floor:
                 break
-            gs -= length
+            gs = c_lo
         elif k > 0:
-            if length == INF:
-                break
             gs += length
-        else:
-            if length == INF:
-                break
+        if length == INF:
+            break
         pos = seg_end
         idx += 1
     return (p, q, tuple(pieces), None if mcur == -INF else q + mcur)
@@ -377,16 +375,17 @@ class _LevelPair:
     piece), every comparison made in building them has the same outcome at
     both and compares affine functions of b, so along the levels between
     them every end, node and piece is the affine interpolation of its
-    values at the two.
+    values at the two.  ``geometry._segments`` pairs the two slices' pieces
+    into the level's frozen segments.
     """
 
-    __slots__ = ("b", "blue", "red", "nodes", "kvals", "_v", "_w", "_pattern", "_frozen")
+    __slots__ = ("b", "blue", "red", "nodes", "kvals", "_v", "_w", "_pattern")
 
     def __init__(self, spec: ProblemSpec, b: float):
         self.b = b
         self.blue, self.red = extended_level_sets(spec, b)
         self.nodes, self.kvals = _k_regions(self.blue, self.red)
-        self._v = self._w = self._pattern = self._frozen = None
+        self._v = self._w = self._pattern = None
 
     def slice(self, side: int) -> _LevelSlice:
         """The v (0) or the reflected w (1) slice."""
@@ -413,33 +412,6 @@ class _LevelPair:
         """Equal signatures: the structure is affine in b between the two
         unless a critical value lies in between."""
         return self.pattern() == other.pattern() and all(self.slice(s).codes == other.slice(s).codes for s in (0, 1))
-
-    def frozen(self) -> list:
-        """The frozen segments of this level, in the v slice's order.
-
-        A piece's front stands at x = ``stand`` from its ``first`` time to its
-        ``last``, or to its death ``stand`` - p.  Where a v piece and a w
-        piece stand at the same x, v = w = b from the later of their first
-        times to the earliest of their last times and deaths.  Returns
-        (x, firsts, ends, key) per such pair, with firsts = (v first, w first),
-        ends = (v last, v death, w last, w death) and key the (component,
-        piece) indices of the v piece and then the w piece; a pair whose
-        times do not overlap is kept, with a negative length.
-        """
-        if self._frozen is None:
-            w = sorted(
-                (-x, first, (last, x - p), (k, i))
-                for k, (p, _, pieces, _) in enumerate(self.slice(1).components)
-                for i, (first, _, last, x) in enumerate(pieces)
-            )
-            w_xs = [s[0] for s in w]
-            self._frozen = []
-            for k, (p, _, pieces, _) in enumerate(self.slice(0).components):
-                for i, (first, _, last, x) in enumerate(pieces):
-                    tiny = _MATCH * (1.0 + abs(x))
-                    for j in range(bisect_left(w_xs, x - tiny), bisect_right(w_xs, x + tiny)):
-                        self._frozen.append((x, (first, w[j][1]), (last, x - p, *w[j][2]), (k, i) + w[j][3]))
-        return self._frozen
 
 
 def _level_set(spec: ProblemSpec, level: _LevelPair, t: float, side: int) -> IntervalUnion:

@@ -40,6 +40,7 @@ from freezeflow.fixtures import (
     PARABOLAS_LEFT_CORNER,
     PARABOLAS_RIGHT_CORNER,
     PARABOLAS_TIP,
+    RAMP_CORNER,
     wedge_v_exact,
     wedge_w_exact,
 )
@@ -110,7 +111,7 @@ def test_criterion_2_frozen_triangle_geometry():
 def test_criterion_3_thaw_to_freeze_corner():
     field = SolutionField(get_fixture("ramp").build(), tolerance=1e-8)
     bset = extract_boundaries(field, (-2.8, 0.4, 0.0, 2.9), (130, 120), zone_epsilon=1e-4)
-    corner = min(bset.corners, key=lambda c: abs(c.x + 2.0) + abs(c.t - 2.0))
+    corner = min(bset.corners, key=lambda c: abs(c.x - RAMP_CORNER[0]) + abs(c.t - RAMP_CORNER[1]))
     sl = corner_slopes(bset, bset.corners.index(corner))
     ok = (
         abs(sl.freezing_slope) <= 0.05

@@ -143,6 +143,9 @@ STABLE_OUTPUTS = [
     ("solve --fixture seg-tent --grid 21,11 --format json", "e7ddbff9f29122dce975308ace6b95306bbc7e8a5ce29fa7a0f812ae99c2d175"),
     ("boundary --fixture parabolas --grid 130,150 --window=0.8,3.2,0,3.45", "ce991234e9e1d700d1611064e4e7e301ad02de18f6b7c0ac597b39c0ab0f798d"),
     ("boundary --fixture ramp --grid 130,120 --window=-2.8,0.4,0,2.9", "445f79c45ffab289090a9494b0ec16412476d472f54dd8c9a49118229ecb935d"),
+    ("boundary --fixture wedge --window=-4,4,0,2", "b76c9514624f690c00fc0a01efc83b6e7ee2975fb183cf4b0d88699f13d94caa"),
+    ("boundary --fixture tent --window=0,2,0,4", "9109803b01d013fa39c07b4e28c231bad19e04cdfd2d630ceaec9bec94cbddc7"),
+    ("boundary --fixture downhill --window=-1,1,0,5", "e5f1a4548009d0e6c5faac3bad4c7c14bf097788afe0955701040200455a3211"),
     ("pinned-balls --n 50 --steps 10000 --seed 3", "97b1e2b6630b8fcbce5ff6b78be620ddaec8fdfb294e6855083ecf8e39ac8b50"),
     ("trace --fixture seg-tent --kind w --direction forward --x 0.3 --t 0.2", "019adbcdf2aac1f6d8d875ea7151a5e6130b3ed71000404abe45cca1ea5e4cff"),
     ("check --fixture seg-tent", "9e96cb08458884946755ae4d69d2d419eec791df117a141b485e933f126bd94d"),

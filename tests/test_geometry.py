@@ -21,6 +21,7 @@ from freezeflow.fixtures import (
     PARABOLAS_LEFT_CORNER,
     PARABOLAS_RIGHT_CORNER,
     PARABOLAS_TIP,
+    RAMP_CORNER,
     parabolas_freeze_time,
 )
 from freezeflow.geometry import _one_sided_slope
@@ -168,9 +169,10 @@ class TestRampCorner:
     def test_thaw_freeze_corner(self):
         field = SolutionField(get_fixture("ramp").build(), tolerance=1e-8)
         bset = extract_boundaries(field, (-2.8, 0.4, 0.0, 2.9), (130, 120), zone_epsilon=1e-4)
-        corner = min(bset.corners, key=lambda c: abs(c.x + 2.0) + abs(c.t - 2.0))
+        x, t = RAMP_CORNER
+        corner = min(bset.corners, key=lambda c: abs(c.x - x) + abs(c.t - t))
         assert corner.kind is CornerKind.THAW_FREEZE
-        assert abs(corner.x + 2.0) < 0.02 and abs(corner.t - 2.0) < 0.02
+        assert abs(corner.x - x) < 0.02 and abs(corner.t - t) < 0.02
         sl = corner_slopes(bset, bset.corners.index(corner))
         assert abs(sl.freezing_slope) <= 0.05
         assert abs(sl.thawing_slope) > 20.0
@@ -245,7 +247,7 @@ CORNER_TABLE = {
             (TIP, 2.0, 2.0 + math.sqrt(1.5), _any, _any),
         ],
     ),
-    "ramp": ((-2.8, 0.4, 0.0, 2.9), [(TF, -2.0, 2.0, _near(0.0, 0.05), _unbounded)]),
+    "ramp": ((-2.8, 0.4, 0.0, 2.9), [(TF, *RAMP_CORNER, _near(0.0, 0.05), _unbounded)]),
     "tent": ((0.0, 2.0, 0.0, 4.0), [(TF, 0.0, 1.0, _any, _unbounded), (TF, 2.0, 1.0, _any, _unbounded)]),
     "seg-tent": ((0.0, 1.0, 0.0, 3.0), [(TF, 0.0, 0.5, _any, _unbounded), (TF, 1.0, 0.5, _any, _unbounded)]),
     "downhill": (

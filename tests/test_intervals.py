@@ -40,6 +40,10 @@ def test_symmetric_difference():
     # only the upper tails differ
     d = IntervalUnion([(-INF, 0), (1, INF)])
     assert d.symmetric_difference_measure(IntervalUnion([(-INF, 0), (1, 5)])) == INF
+    # only one side has a lower tail, whatever the upper tails and the order
+    e = IntervalUnion([(-INF, -3), (0, 2), (4, 6)])
+    assert e.symmetric_difference_measure(a) == INF and a.symmetric_difference_measure(e) == INF
+    assert IntervalUnion([(-INF, 0)]).symmetric_difference_measure(IntervalUnion([(-5, 0)])) == INF
 
 
 def test_value_semantics():

@@ -1,9 +1,9 @@
 """No leftovers in the package: every name a module imports is used in it,
 every private module-level name and private method is read somewhere in
 ``src/`` outside its own definition, and every public module-level function,
-class and method somewhere in ``src/``, ``tests/`` or ``benchmarks/``.  A
-deletion that strands an import or a helper fails here.  Reads the source
-with ``ast`` alone.
+class, method and constant somewhere in ``src/``, ``tests/`` or
+``benchmarks/``.  A deletion that strands an import, a helper or a constant
+fails here.  Reads the source with ``ast`` alone.
 """
 
 import ast
@@ -56,7 +56,8 @@ def _private_definitions(tree):
 
 
 def _public_definitions(tree):
-    """(label, name, node) of each public module-level def or class and each public method of a public class.
+    """(label, name, node) of each public module-level def, class or
+    assignment (a constant) and each public method of a public class.
 
     A private class's methods are left out: ``cli._Parser.error`` overrides
     argparse's, which argparse calls."""
@@ -67,6 +68,11 @@ def _public_definitions(tree):
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
                         yield f"{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, target.id, node
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])

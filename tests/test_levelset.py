@@ -21,6 +21,7 @@ from freezeflow import (
     trace_forward_w,
 )
 from freezeflow.fixtures import FIXTURES, wedge_v_exact, wedge_w_exact
+from freezeflow.geometry import _segments
 from freezeflow import levelset
 from freezeflow.levelset import _front, _front_table, _LevelPair, _padded, extended_level_sets
 from test_set_assembly import edge_spec, signed
@@ -761,6 +762,38 @@ def _fixtures_and_random_specs(n_random=6):
     return [f.build() for f in FIXTURES.values()] + [random_pl_spec(rng) for _ in range(n_random)]
 
 
+def _codes_per_component(sl):
+    ends = [i for i, c in enumerate(sl.codes) if c == -1]
+    return [sl.codes[a + 1:b] for a, b in zip([-1] + ends, ends)]
+
+
+def test_codes_follow_the_running_low():
+    # the running low never exceeds the integral, so a descent's code is
+    # (low below the integral) + 2 (new low), and each new low is one piece;
+    # code 0 needs a descent shorter than rounding (next test)
+    for spec in _fixtures_and_random_specs(n_random=30):
+        ys = spec.v0.ys + spec.w0.ys
+        critical = SolutionField(spec)._critical
+        for b in np.linspace(min(ys), max(ys), 15).tolist() + critical[:: max(1, len(critical) // 40)]:
+            pair = _LevelPair(spec, b)
+            for sl in (pair.slice(0), pair.slice(1)):
+                runs = _codes_per_component(sl)
+                assert len(runs) == len(sl.components)
+                for codes, (_, _, pieces, _) in zip(runs, sl.components):
+                    assert set(codes) <= {1, 2, 3} and sum(c >= 2 for c in codes) == len(pieces), (b, codes)
+
+
+def test_a_descent_below_rounding_sets_no_low():
+    # code 0: the low sits at the integral and a descent one ulp long
+    # (2.2648885619704004 to 2.264888561970401) leaves it there in floating
+    # point, so it adds no piece
+    rng = np.random.default_rng(11)
+    spec = [random_pl_spec(rng) for _ in range(38)][-1]
+    pair = _LevelPair(spec, -1.4551516119850327)
+    assert pair.slice(0).codes == [2, 0, -1, -1]
+    assert [len(pieces) for _, _, pieces, _ in pair.slice(0).components] == [1, 0]
+
+
 def test_front_table_matches_front():
     # _front and _front_table read the same stored pieces, _front per t and
     # the table as arrays over its branches, and the frozen segments read
@@ -779,7 +812,7 @@ def test_front_table_matches_front():
                         expected = _front(comp, t)
                         assert (front if front >= P[k] else -INF) == (-INF if expected is None else expected)
             P, T, F, R = _front_table(pair.slice(0))
-            for x, firsts, ends, (k, i, *_) in pair.frozen():
+            for x, firsts, ends, (k, i, *_), *_ in _segments(pair):
                 stand = F[k, 2 * i + 2]
                 assert (x, firsts[0], ends[0], ends[1]) == (stand, T[k, 2 * i + 1], T[k, 2 * i + 2], stand - P[k])
 
@@ -824,7 +857,7 @@ def test_frozen_segments_carry_their_level():
         dom = spec.domain
         levels, _ = field._sweep(*((dom.a1, dom.a2) if dom.is_segment else (lo - 4.0, hi + 4.0)))
         for level in levels[:: max(1, len(levels) // 8)]:
-            for x, firsts, ends, _ in level.frozen():
+            for x, firsts, ends, *_ in _segments(level):
                 first, last = max(firsts), min(min(ends), max(firsts) + 5.0)
                 if last - first < 1e-6 or (dom.is_segment and min(x - dom.a1, dom.a2 - x) < 1e-9):
                     continue
@@ -900,7 +933,7 @@ def test_kept_levels_carry_no_query_state():
             lambda f: f.eval_grid(xs, [0.0, 0.5, 1.5]),
             lambda f: f.eval_grid(xs, [1.5, 0.25, 1.0, 0.0]),  # the same bracket
             lambda f: [f.eval_v(x, t) for x in xs[:3] for t in (0.5, 1.5)] + [f.eval_w(x, 0.25) for x in xs[2:]],
-            lambda f: [(level.b, level.frozen()) for level in f._sweep(x0, x1)[0]] + f._sweep(x0, x1)[1],
+            lambda f: [(level.b, _segments(level)) for level in f._sweep(x0, x1)[0]] + f._sweep(x0, x1)[1],
             lambda f: _traced(trace_forward_v, f, xs[3], 0.5),
             lambda f: _traced(trace_forward_w, f, xs[3], 0.5),
             lambda f: signed(f.sublevel_set(b, 0.5)),

@@ -284,6 +284,14 @@ class TestValidate:
         rep = validate(ProblemSpec(Domain.whole_line(), v0, w0))
         assert [(i.code, i.message, i.location) for i in rep.issues] == [("constraint", "v0 < w0 on the right tail", math.inf)]
 
+    def test_left_tail_violation(self):
+        # v0 - w0 rises at rate 0.5 left to right of the first breakpoint, so
+        # it falls below 0 left of x = -2
+        v0 = PL([0.0, 1.0], [1.0, 2.0], 1.5, 1.0)
+        w0 = PL([0.0, 1.0], [0.0, 1.0], 1.0, 1.0)
+        rep = validate(ProblemSpec(Domain.whole_line(), v0, w0))
+        assert [(i.code, i.message, i.location) for i in rep.issues] == [("constraint", "v0 < w0 on the left tail", -math.inf)]
+
     def test_boundary_equality_required(self):
         v0 = PL([0.0, 1.0], [0.5, 1.0])
         w0 = PL([0.0, 1.0], [0.0, 1.0])
