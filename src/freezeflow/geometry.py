@@ -3,15 +3,18 @@
 At level b, where a piece of the v slice and a piece of the w slice stand
 at one x, v = w = b from the later of their first times to the first thaw:
 a vertical frozen segment (``_segments``, built once per level of the
-sweep from the pieces ``levelset`` stores).  One sweep
-in b (``SolutionField._sweep``) leaves cells in which each segment's x and
-times are affine in b, so the freezing curves (the lower ends) and thawing
-curves (the upper ends) are exact polylines; a stack of segments at one x,
-as at a segment wall, is a vertical thawing branch.  Corners are read off
-the same sweep: a segment that closes (freeze/thaw), the gap between two
-segments at one x that closes (thaw/freeze), and a peak of a thawing curve,
-where the binding thaw changes (tip).  One-sided slopes are those of the
-exact pieces next to the corner.
+sweep from the pieces ``levelset`` stores).  One sweep in b
+(``SolutionField._sweep``) over the levels that can carry a frozen point in
+the window (on the whole line, the values that v0 and w0 both take over its
+triangle of determinacy, widened to the nearest critical values) leaves
+cells in which each segment's x and times are affine in b, so the freezing
+curves (the lower ends) and thawing curves (the upper ends) are exact
+polylines; a stack of segments at one x, as at a segment wall, is a
+vertical thawing branch.  Corners are read off the same sweep: a segment
+that closes (freeze/thaw), the gap between two segments at one x that
+closes (thaw/freeze), and a peak of a thawing curve, where the binding thaw
+changes (tip).  One-sided slopes are those of the exact pieces next to the
+corner.
 """
 
 from __future__ import annotations
@@ -163,7 +166,7 @@ def _tracks(levels, affine):
     def stop(seg_id, cur):
         ends.extend((track[-1], thawing, track, False, seg_id) for thawing, track in enumerate(cur) if track)
 
-    lower = _segments(levels[0])
+    lower = _segments(levels[0]) if levels else []
     live = {i: start((0, i), seg[4]) for i, seg in enumerate(lower) if seg[5] > 0.0}
     for k, same in enumerate(affine):
         upper = _segments(levels[k + 1])
@@ -311,10 +314,11 @@ def extract_boundaries(
 ) -> BoundarySet:
     """Freezing and thawing curves and corners inside window = (x0, x1, t0, t1).
 
-    One sweep over the values of the window's triangle of determinacy reads
-    the frozen segments (see the module docstring); curves are clipped to
-    the window and corners kept inside it.  Both are exact for the
-    piecewise-linear data: ``resolution`` = (nx, nt) only sets
+    One sweep over the levels that can carry a frozen point in the window,
+    padded by a slack of its own on each axis, reads the frozen segments
+    (see the module docstring); curves are clipped to the padded window and
+    corners kept inside it, then clamped to the window.  Both are exact for
+    the piecewise-linear data: ``resolution`` = (nx, nt) only sets
     ``cell_size``, the spacing of an nx x nt grid over the window, and
     ``zone_epsilon`` is kept because the benchmark's boundary workload
     passes it; neither changes a curve or a corner.
@@ -327,11 +331,11 @@ def extract_boundaries(
     dom = field_.spec.domain
     xa, xb, ta, tb = min(x0, x1), max(x0, x1), min(t0, t1), max(t0, t1)
     cell = max((xb - xa) / (nx - 1), (tb - ta) / (nt - 1)) if nx > 1 and nt > 1 else 0.0
-    tracks, ends = _tracks(*field_._sweep(xa - tb, xb + tb))
+    sx, st = _TINY * (1.0 + max(abs(xa), abs(xb))), _TINY * (1.0 + tb)
+    box = (xa - sx, xb + sx, ta - st, tb + st)
+    tracks, ends = _tracks(*field_._sweep(box[0] - box[3], box[1] + box[3]))
     for pts in tracks[0] + tracks[1]:
         _simplify(pts)
-    slack = _TINY * (1.0 + max(abs(xa), abs(xb), tb))
-    box = (xa - slack, xb + slack, ta - slack, tb + slack)
     inner = (max(xa, dom.a1), min(xb, dom.a2), ta, tb)
 
     def curves(kind, polylines):

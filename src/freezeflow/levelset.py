@@ -971,11 +971,26 @@ class SolutionField:
         return self._keep(built, _RowProfiles(self, xn, ts, built).values(lo, hi, tol))
 
     def _sweep(self, lo_x: float, hi_x: float):
-        """The levels of one sweep in b over the padded value bracket of
-        [lo_x, hi_x] (within the domain), in order, and whether each cell
-        between neighbours is affine: the cells of ``_split`` with no points,
-        so every critical value inside the bracket is a level, unmerged."""
+        """The levels of one sweep in b over [lo_x, hi_x] (within the
+        domain), in order, and whether each cell between neighbours is
+        affine: a run of the cells of ``_split`` with no points over the
+        padded value bracket, so every critical value inside it is a level,
+        unmerged.  On the whole line v = w = b at (x, t) only where v0 takes
+        b on [x - t, x] and w0 on [x, x + t], so the run spans the padded
+        range of values both take, out to the nearest critical values (where
+        ``_split`` restarts its bisection), and is empty if they never meet;
+        on a segment the boundary tie lets each side carry the other's
+        values, so it spans the bracket."""
+        spec = self.spec
         lo, hi, _ = _padded(*self._value_range(lo_x, hi_x), self.tolerance)
+        if not spec.domain.is_segment:
+            (v_lo, v_hi), (w_lo, w_hi) = spec.v0.min_max_on(lo_x, hi_x), spec.w0.min_max_on(lo_x, hi_x)
+            if max(v_lo, w_lo) > min(v_hi, w_hi):
+                return self._keep({}, ([], []))
+            f_lo, f_hi, _ = _padded(max(v_lo, w_lo), min(v_hi, w_hi), self.tolerance)
+            critical = self._critical
+            i, j = bisect_right(critical, f_lo), bisect_left(critical, f_hi)
+            lo, hi = max(lo, critical[i - 1]) if i else lo, min(hi, critical[j]) if j < len(critical) else hi
         built: dict = {}
         cells = self._split(self._level(lo, built), self._level(hi, built), built)
         return self._keep(built, ([cells[0][0]] + [cell[1] for cell in cells], [cell[2] for cell in cells]))

@@ -25,6 +25,7 @@ from freezeflow.fixtures import (
     parabolas_freeze_time,
 )
 from freezeflow.geometry import _one_sided_slope
+from freezeflow.levelset import _LevelPair
 
 PL = PiecewiseLinear
 
@@ -111,12 +112,71 @@ class TestExtractWedge:
                 assert classify(field, x, t - shift) is ZoneLabel.LIQUID
 
 
+@pytest.mark.parametrize("half", [4.0, 1e6, 1e9, 1e12])
+def test_wide_window_ends_its_curves_on_them(half):
+    # the clip box pads t by a slack of its own: one slack scaled by |x| let
+    # a wide window clip each curve at t = 1 + slack and clamp it back to
+    # t = 1, off the curve (the freezing curve x = 3t ended at x = 3.003
+    # with half-width 1e6, at 3003 with 1e12)
+    field = SolutionField(get_fixture("wedge").build(), tolerance=1e-10)
+    bset = extract_boundaries(field, (-half, half, 0.0, 1.0), (40, 40))
+    for curves, speed in ((bset.freezing, 3.0), (bset.thawing, 0.6)):
+        assert curves
+        for curve in curves:
+            for x, t in curve.samples:
+                assert abs(x - speed * t) <= 1e-8, (half, x, t)
+
+
+def _count_level_pairs(monkeypatch):
+    """One entry per ``_LevelPair`` built."""
+    built = []
+    real = _LevelPair.__init__
+
+    def counted(self, *args):
+        built.append(args[1])
+        real(self, *args)
+
+    monkeypatch.setattr(_LevelPair, "__init__", counted)
+    return built
+
+
+def test_boundary_work_is_pinned(monkeypatch):
+    # the benchmark's boundary extraction on its base window builds the
+    # levels that v0 and w0 both take over the window's triangle, [0, 3]
+    # padded out to the nearest critical values: 752 of the 1,869 levels of
+    # its whole value bracket, [-24.04, 16]
+    built = _count_level_pairs(monkeypatch)
+    field = SolutionField(get_fixture("parabolas").build(), tolerance=1e-7)
+    extract_boundaries(field, (0.8, 2.0, 0.4, 2.0), (40, 40), zone_epsilon=1e-4)
+    assert len(built) == 752
+
+
 class TestExtractEdgeCases:
     def test_all_liquid_empty(self):
         spec = ProblemSpec(Domain.whole_line(), PL.constant(1.0), PL.constant(0.0))
         field = SolutionField(spec, tolerance=1e-10)
         bset = extract_boundaries(field, (-2.0, 2.0, 0.0, 1.0), (40, 40))
         assert not bset.freezing and not bset.thawing and not bset.corners
+
+    @pytest.mark.parametrize("shape", ["constant", "sloped"])
+    def test_empty_frozen_range_builds_no_level(self, monkeypatch, shape):
+        # v0's and w0's values over the window's triangle never meet, so no
+        # level can carry a frozen point there and none is built
+        if shape == "constant":
+            spec = ProblemSpec(Domain.whole_line(), PL.constant(1.0), PL.constant(0.0))
+        else:
+            rng = np.random.default_rng(2805)
+            xs = sorted(rng.uniform(-2.0, 2.0, 6).tolist())
+            spec = ProblemSpec(
+                Domain.whole_line(),
+                PL(xs, rng.uniform(2.0, 3.0, 6).tolist(), -0.1, 0.1),
+                PL(xs, rng.uniform(-1.0, 0.0, 6).tolist(), -0.1, 0.1),
+            )
+        built = _count_level_pairs(monkeypatch)
+        field = SolutionField(spec, tolerance=1e-10)
+        bset = extract_boundaries(field, (-3.0, 3.0, 0.0, 1.0), (41, 21))
+        assert not bset.freezing and not bset.thawing and not bset.corners
+        assert (bset.cell_size, bset.warnings, built) == (0.15, list(field.warnings), [])
 
     def test_coarse_resolution_warns_not_raises(self):
         field = SolutionField(get_fixture("wedge").build(), tolerance=1e-8)

@@ -866,16 +866,17 @@ def test_frozen_segments_carry_their_level():
                 assert max(abs(v - level.b), abs(w - level.b)) <= field.zone_epsilon(), (level.b, x, t, v, w)
 
 
-# levels of the sweep over the full span widened by the horizon, at 1e-10
+# levels of the sweep over the full span widened by the horizon, at 1e-10;
+# uniform-gap's values (v0 = 1, w0 = 0) never meet, so it sweeps none
 SWEEP_LEVELS = {
     "downhill": 159,
     "frozen-ramp": 4,
-    "parabolas": 3370,
+    "parabolas": 752,
     "ramp": 449,
     "seg-tent": 236,
     "tent": 236,
     "thawline": 3,
-    "uniform-gap": 116,
+    "uniform-gap": 0,
     "wedge": 123,
 }
 
@@ -887,28 +888,92 @@ def _full_span(name):
     return spec, lo, hi, fixture.horizon
 
 
+def _full_split(field, lo_x, hi_x):
+    """The levels and affine flags of ``_split`` over the whole padded value
+    bracket of [lo_x, hi_x]: the sweep before it kept only the levels that
+    can carry a frozen point."""
+    lo, hi, _ = _padded(*field._value_range(lo_x, hi_x), field.tolerance)
+    built: dict = {}
+    cells = field._split(field._level(lo, built), field._level(hi, built), built)
+    return [cells[0][0]] + [cell[1] for cell in cells], [cell[2] for cell in cells]
+
+
 @pytest.mark.parametrize("name", sorted(SWEEP_LEVELS))
 def test_sweep_has_a_level_at_every_critical_value(name):
+    # the sweep runs over the padded bracket, but on the whole line each end
+    # moves in to the nearest critical value outside the padded range of the
+    # values v0 and w0 both take, where there is one
     spec, lo, hi, horizon = _full_span(name)
     field = SolutionField(spec, tolerance=1e-10)
-    levels, affine = field._sweep(lo - horizon, hi + horizon)
+    x0, x1 = lo - horizon, hi + horizon
+    levels, affine = field._sweep(x0, x1)
     b = [level.b for level in levels]
-    b_lo, b_hi, _ = _padded(*field._value_range(lo - horizon, hi + horizon), field.tolerance)
-    assert (b[0], b[-1]) == (b_lo, b_hi) and b == sorted(set(b))
-    assert {c for c in field._critical if b_lo < c < b_hi} <= set(b)
-    assert len(affine) == len(b) - 1
     assert len(b) == SWEEP_LEVELS[name]  # boundary output is not pinned, so this guards the sweep
+    b_lo, b_hi, _ = _padded(*field._value_range(x0, x1), field.tolerance)
+    (v_lo, v_hi), (w_lo, w_hi) = spec.v0.min_max_on(x0, x1), spec.w0.min_max_on(x0, x1)
+    if spec.domain.is_segment:
+        ends = (b_lo, b_hi)
+    elif max(v_lo, w_lo) > min(v_hi, w_hi):
+        assert (b, affine) == ([], [])
+        return
+    else:
+        f_lo, f_hi, _ = _padded(max(v_lo, w_lo), min(v_hi, w_hi), field.tolerance)
+        ends = (
+            max((c for c in field._critical if b_lo < c <= f_lo), default=b_lo),
+            min((c for c in field._critical if f_hi <= c < b_hi), default=b_hi),
+        )
+    assert (b[0], b[-1]) == ends and b == sorted(set(b))
+    assert {c for c in field._critical if b[0] < c < b[-1]} <= set(b)
+    assert len(affine) == len(b) - 1
+
+
+def _sweep_cases():
+    """The 9 fixtures and seeded whole-line and segment problems, each with
+    three spans: the whole span widened, its left part and a middle part."""
+    rng = np.random.default_rng(2803)
+    specs = [f.build() for f in FIXTURES.values()]
+    specs += [random_pl_spec(rng, segment=False) for _ in range(8)] + [random_pl_spec(rng, segment=True) for _ in range(4)]
+    for spec in specs:
+        lo, hi = spec.breakpoint_span()
+        w = hi - lo
+        for x0, x1 in ((lo - w, hi + w), (lo - 0.5 * w, lo + 0.5 * w), (lo + 0.3 * w, lo + 0.6 * w)):
+            yield spec, x0, x1
+
+
+def test_sweep_is_a_run_of_the_full_split():
+    # the sweep keeps a contiguous run of the full split's levels, with
+    # their affine flags, and follows the same frozen segments through them:
+    # every edge of its tracks is an edge of the full split's, bit for bit
+    from freezeflow.geometry import _tracks
+
+    def edges(tracks):
+        return {(p, q) for pts in tracks for p, q in zip(pts, pts[1:])}
+
+    narrowed = 0
+    for spec, x0, x1 in _sweep_cases():
+        levels, affine = SolutionField(spec, tolerance=1e-10)._sweep(x0, x1)
+        full, full_affine = _full_split(SolutionField(spec, tolerance=1e-10), x0, x1)
+        b, full_b = [level.b for level in levels], [level.b for level in full]
+        if b:
+            k = full_b.index(b[0])
+            assert (full_b[k:k + len(b)], full_affine[k:k + len(affine)]) == (b, affine), (spec, x0, x1)
+        narrowed += len(b) < len(full_b)
+        ours, theirs = _tracks(levels, affine)[0], _tracks(full, full_affine)[0]
+        for kind in (0, 1):
+            assert edges(ours[kind]) <= edges(theirs[kind]), (spec, x0, x1, kind)
+    assert narrowed >= 20
 
 
 @pytest.mark.parametrize("name", ["parabolas", "ramp"])
 def test_grid_builds_no_more_levels_than_the_sweep(monkeypatch, name):
-    # one split serves both, and a grid splits only cells that hold values
+    # one split serves both, and a grid splits only cells that hold values,
+    # so it builds no more levels than the full split of its own bracket
     spec, lo, hi, horizon = _full_span(name)
     built = _count_levels(monkeypatch)
     SolutionField(spec, tolerance=1e-10).eval_grid(np.linspace(lo, hi, 41), np.linspace(0.0, horizon, 21))
     grid = len(built)
     del built[:]
-    SolutionField(spec, tolerance=1e-10)._sweep(lo - horizon, hi + horizon)
+    _full_split(SolutionField(spec, tolerance=1e-10), lo - horizon, hi + horizon)
     assert grid <= len(built), (grid, len(built))
 
 
