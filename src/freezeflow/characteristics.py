@@ -9,9 +9,14 @@ component ends (p + s for a left end, front(s) + s for a right end, still
 while the front retreats) and, inside a flat stretch of the data, moving at
 unit speed until an end passes it.  The path is sampled every dt.  Each
 sample is evaluated on the start's bracket while its own bracket lies inside
-it, so its value carries the start's tolerance: a label between the two
-slices is the start's answer, read from two membership probes of those
-slices, and any other label gets an inversion steered by that answer.
+it, so its value carries the start's tolerance and can reuse a final cell
+the trace has already certified: a label between the two slices of the
+start's cell, or of the latest cell a sample's inversion produced, has that
+cell's answer, read from two membership probes of its slices, and only a
+label neither cell certifies is inverted, steered by the latest answer, its
+cell becoming the latest.  Where the path rides a band end the value stays
+put, so one inversion serves the whole run.  The start's zone inverts at
+t + probe steered by each side's value at t, which a frozen point keeps.
 Tracing is diagnostic: the solver never depends on it.
 
 A sample whose value leaves lam*dt + zone_epsilon of b makes a backward
@@ -114,17 +119,18 @@ def _zone(
 ) -> ZoneLabel:
     """``classify`` on the levels of the query that ``built`` belongs to;
     ``known`` is one side's (reflected, value) at (x, t) where the caller
-    has already inverted it, so only the other side is inverted there."""
-
-    def gap(s, given=None):
-        v, w = (given[1] if given and given[0] is r else field_._invert(x, s, None, r, built) for r in (False, True))
-        return v - w
-
-    if gap(t, known) > eps:
+    has already inverted it on the bracket of (x, t), so only the other
+    side is inverted there.  Each side's inversion at t + probe is steered
+    by its value at t: v and w stand still at a frozen point, where the
+    transport value, the default guess, is wrong.  A guess only steers, so
+    the zone is the same whatever it is."""
+    now = [known[1] if known and known[0] is r else field_._invert(x, t, None, r, built) for r in (False, True)]
+    if now[0] - now[1] > eps:
         return ZoneLabel.LIQUID
     lam = field_.spec.lipschitz
     probe = max(4.0 * eps / max(lam, 1.0), 1e-6)
-    if gap(t + probe) <= eps + 0.1 * lam * probe:
+    v, w = (field_._invert(x, t + probe, None, r, built, guess) for r, guess in zip((False, True), now))
+    if v - w <= eps + 0.1 * lam * probe:
         return ZoneLabel.FROZEN
     return ZoneLabel.BOUNDARY
 
@@ -170,31 +176,44 @@ def _trace(
     built: dict = {}  # the levels of this trace, its start's and samples' alike
     field_._check_point(x, t)
     start = field_._value_range(x - t, x + t)
-    b_lo, b_hi = field_._cell(x, t, start, not v_char, built)
-    value = 0.5 * (b_lo + b_hi)
+    sign = 1.0 if v_char else -1.0
+
+    def cell(xs, ts, guess):
+        """Bisection's final cell at a point on the start's bracket, as
+        (outer, inner, midpoint): the slices at its ends, between which
+        certification puts the exact value; w is v of the mirrored problem,
+        whose slice below the value holds the label."""
+        b_lo, b_hi = field_._cell(xs, ts, start, not v_char, built, guess)
+        low, high = field_._level(b_lo, built), field_._level(b_hi, built)
+        slices = (high.slice(0), low.slice(0)) if v_char else (low.slice(1), high.slice(1))
+        return (*slices, 0.5 * (b_lo + b_hi))
+
+    carried = [cell(x, t, None)]  # the latest cell a sample's inversion produced, if any, then the start's
+    outer, inner, value = carried[0]
     zone0 = _zone(field_, x, t, eps, built, (not v_char, value))
-    # the slices at the ends of the start's final cell, between which
-    # certification puts the exact value; w is v of the mirrored problem,
-    # whose slice below the value holds the label
-    low, high = field_._level(b_lo, built), field_._level(b_hi, built)
-    sign, outer, inner = (1.0, high.slice(0), low.slice(0)) if v_char else (-1.0, low.slice(1), high.slice(1))
     path = band_path(outer, inner, sign * field_._nudge(x) - t, t)
 
     def evaluate(xs, ts):
         """The value at a sample, on the start's bracket when the sample's
         own bracket lies inside it (always where its triangle does, to
-        within the rounding of a path that runs on the triangle's edge)."""
+        within the rounding of a path that runs on the triangle's edge).
+        There a label in a carried cell's outer slice and not in its inner
+        one decides every midpoint of bisection's path to that cell as the
+        cell's own inversion did, so it takes the cell's midpoint; a label
+        neither carried cell certifies is inverted, steered by the latest
+        value, and its cell becomes the latest.  Along a run that rides a
+        band end the value stays put, so the latest cell is tried first."""
         field_._check_point(xs, ts)
         if abs(xs - x) > t - ts + 1e-12 * (abs(x) + t):
             own = field_._value_range(xs - ts, xs + ts)
             if not start[0] <= own[0] <= own[1] <= start[1]:
                 return field_._invert(xs, ts, own, not v_char, built)
-        # a label in the outer slice and not in the inner one decides every
-        # midpoint of bisection's path to [b_lo, b_hi] as the start's did
         x0 = sign * field_._nudge(xs) - ts
-        if outer.membership(x0, ts) and not inner.membership(x0, ts):
-            return value
-        return field_._invert(xs, ts, start, not v_char, built, value)
+        for out, inn, mid in carried:
+            if out.membership(x0, ts) and not inn.membership(x0, ts):
+                return mid
+        carried[:-1] = [cell(xs, ts, carried[0][2])]
+        return carried[0][2]
     # backward traces end where the path meets the emitting feeder (at
     # -inf on the whole line, where a finite path never meets it)
     feeder = sign * (dom.a1 if v_char else dom.a2) if not forward else None

@@ -777,12 +777,15 @@ class SolutionField:
         At an exact endpoint the boundary feeder makes survival ties persist
         over a whole range of levels, which would drag the inverted value to
         a bisection bracket edge; the solution is continuous, so the nudge
-        changes the value by less than the tolerance.
+        changes the value by less than the tolerance.  The hair is at least
+        a few ulps of the ends, so that it moves the query on a segment far
+        from the origin too, and at most a quarter of the segment.
         """
         dom = self.spec.domain
         if not dom.is_segment:
             return x
-        delta = 1e-11 * (dom.a2 - dom.a1)
+        width = dom.a2 - dom.a1
+        delta = min(max(1e-11 * width, 4.0 * math.ulp(max(abs(dom.a1), abs(dom.a2)))), 0.25 * width)
         return min(max(x, dom.a1 + delta), dom.a2 - delta)
 
     # -- point evaluation ---------------------------------------------------

@@ -122,6 +122,23 @@ class TestBackward:
         assert cli.main(argv) == 4
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("tracer", [trace_backward_v, trace_backward_w])
+    def test_a_value_drifting_past_the_latest_cell_fails_the_step(self, monkeypatch, tracer):
+        # on frozen-ramp, where v = w = x, a path that drifts half a label
+        # per unit time moves the value past each sample's cell; the latest
+        # cell certifies only labels between its two slices, so the drift is
+        # seen and ends the trace within a few samples
+        real = characteristics.band_path
+
+        def drifting(outer, inner, x0, t):
+            r = real(outer, inner, x0, t)
+            return lambda s: None if r(s) is None else r(s) - 0.5 * (t - s)
+
+        monkeypatch.setattr(characteristics, "band_path", drifting)
+        with pytest.raises(CharacteristicStepError) as info:
+            tracer(SolutionField(get_fixture("frozen-ramp").build()), 0.5, 1.0)
+        assert info.value.t > 0.99
+
 
 class TestForward:
     def test_reverse_of_backward(self, wedge_field):
@@ -312,11 +329,25 @@ def _trace_problems():
     return problems + [(f"random-{k}", random_pl_spec(rng), 2.0) for k in range(6)]
 
 
+# a start inside the frozen zone of each fixture that has one (thawline and
+# uniform-gap have none): its traces ride band ends, where a sample's label
+# often lies outside the start's cell
+FROZEN_STARTS = {
+    "downhill": (-0.5, 4.0),
+    "frozen-ramp": (0.5, 1.0),
+    "parabolas": (2.0, 2.0),
+    "ramp": (-1.333, 2.25),
+    "seg-tent": (0.25, 1.5),
+    "tent": (0.5, 2.5),
+    "wedge": (2.0, 0.9),
+}
 TRACE_PROBLEMS = _trace_problems()
+TRACE_CASES = [p + (None,) for p in TRACE_PROBLEMS]
+TRACE_CASES += [(f"{n}-frozen", FIXTURES[n].build(), FIXTURES[n].horizon, xt) for n, xt in FROZEN_STARTS.items()]
 
 
-@pytest.mark.parametrize("name, spec, horizon", TRACE_PROBLEMS, ids=[p[0] for p in TRACE_PROBLEMS])
-def test_samples_are_bisection_on_the_start_bracket(name, spec, horizon):
+@pytest.mark.parametrize("name, spec, horizon, frozen_start", TRACE_CASES, ids=[p[0] for p in TRACE_CASES])
+def test_samples_are_bisection_on_the_start_bracket(name, spec, horizon, frozen_start):
     # every sample of a backward trace is evaluated on the start's bracket;
     # a forward sample is too while its own bracket stays inside the start's,
     # and on its own bracket after that
@@ -325,6 +356,9 @@ def test_samples_are_bisection_on_the_start_bracket(name, spec, horizon):
     lo, hi = (dom.a1, dom.a2) if dom.is_segment else np.add(spec.breakpoint_span(), (-1.0, 1.0))
     rng = np.random.default_rng(sum(map(ord, name)))
     x, t = float(rng.uniform(lo, hi)), float(rng.uniform(0.1, horizon))
+    if frozen_start is not None:
+        x, t = frozen_start
+        assert classify(field, x, t) is ZoneLabel.FROZEN
     start = field._value_range(x - t, x + t)
     for kind, tracer, ev in (("v", trace_backward_v, field.eval_v), ("w", trace_backward_w, field.eval_w)):
         c = tracer(field, x, t)
@@ -358,6 +392,51 @@ def test_wedge_traces_build_few_levels(monkeypatch):
     assert len(built) == 4
     assert len(cv.samples) == len(cw.samples) == 1001
 
+
+
+def test_trace_work_is_pinned(work_counts):
+    # backward traces at dt = 0.05 t from seeded points on wedge, seg-tent
+    # and random specs: a sample whose label a carried cell certifies costs
+    # two probes, and only the others are inverted.  Inverting every sample
+    # the start's cell does not certify took 231 cells, 120 levels and
+    # 1,828 probes here
+    rng = np.random.default_rng(29)
+    points = [(get_fixture("wedge").build(), rng.uniform(-3.0, 4.0)) for _ in range(2)]
+    points += [(get_fixture("seg-tent").build(), rng.uniform(0.05, 0.95)) for _ in range(2)]
+    for _ in range(8):
+        spec = random_pl_spec(rng, segment=False)
+        points.append((spec, rng.uniform(*spec.breakpoint_span())))
+    for spec, x in points:
+        t = float(rng.uniform(0.3, 1.5))
+        field = SolutionField(spec)
+        for tracer in (trace_backward_v, trace_backward_w):
+            tracer(field, float(x), t, dt=0.05 * t)
+    assert work_counts == {"_cell": 73, "__init__": 97, "membership": 1227}
+
+
+def test_classify_steers_the_later_inversions_at_frozen_points(work_counts):
+    # at t + probe each side is steered by its value at t, which a frozen
+    # point keeps; the transport guess, wrong there, built 75 levels
+    for name, x, t in (("wedge", 2.0, 0.9), ("wedge", 1.0, 1.0), ("seg-tent", 0.25, 1.5), ("ramp", -1.333, 2.25)):
+        assert classify(SolutionField(get_fixture(name).build()), x, t) is ZoneLabel.FROZEN
+    assert work_counts == {"_cell": 16, "__init__": 44, "membership": 68}
+
+
+@pytest.mark.parametrize("shift", [1e6, 1e9])
+def test_far_segment_traces_end_on_their_feeder(shift):
+    # seg-tent moved far right: a nudge of 1e-11 of the segment is below one
+    # ulp of its ends, so it vanished, and these traces met the feeder tie
+    # and raised CharacteristicStepError
+    from test_levelset import _shifted_spec
+
+    field = SolutionField(_shifted_spec(get_fixture("seg-tent").build(), shift))
+    a1, a2 = field.spec.domain.a1, field.spec.domain.a2
+    assert a1 < field._nudge(a1) < field._nudge(a2) < a2
+    for tracer, x, end in ((trace_backward_v, 0.1, "left boundary"), (trace_backward_w, 0.9, "right boundary")):
+        for dx in (0.0, -0.05, 0.05):
+            c = tracer(field, shift + x + dx, 1.3, dt=0.013)
+            assert c.termination == end
+            assert c.samples[0][0] == (a1 if end == "left boundary" else a2)
 
 
 @pytest.mark.parametrize("name, x, t", [("wedge", 4.0, 1.0), ("wedge", 2.0, 0.9), ("seg-tent", 0.3, 0.8)])
